@@ -6,7 +6,6 @@ All arithmetic is exact (arbitrary-precision integers; ranks over the
 rationals).  See the README for the CLI and the verification scenarios.
 """
 
-from fmchow._elim import BACKEND as elimination_backend
 from fmchow.errors import (
     DegreeError,
     FmchowError,
@@ -71,8 +70,11 @@ from fmchow.verify import (
 
 __version__ = "0.1.0"
 
+#: name of the elimination kernel, kept for run records; there is one,
+#: the pure-Python `fmchow.ranks.Echelon`
+elimination_backend = "python"
+
 __all__ = [
-    "BACKEND",
     "ChernPoly",
     "CoincidenceData",
     "DegreeError",

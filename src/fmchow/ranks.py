@@ -110,6 +110,12 @@ class DegreeSpan:
             self._ech.insert(cols, coeffs)
         self._relation_rank = self._dead + self._ech.rank
 
+    @property
+    def alive_monomials(self) -> tuple:
+        """Basis monomials not killed by a single-term relation, in column
+        order: the columns of the echelon."""
+        return tuple(self._alive_index)
+
     def _row(self, poly: Poly, shift=None):
         """Coefficient row of poly (times an optional monomial shift) over
         the alive basis, as sorted parallel (cols, coeffs) lists."""
@@ -272,9 +278,8 @@ def kernel_ranks(
             continue
         tgt_span = DegreeSpan(p_target, k, monomial_cap)
         image = 0
-        for m in src_span.monomials:
-            if m not in src_span._alive_index:
-                continue  # zero in the source quotient, contributes nothing
+        # dead monomials are zero in the source quotient and contribute nothing
+        for m in src_span.alive_monomials:
             img = map_poly(
                 Poly.monomial(p_source.table, m), var_images, p_target
             )

@@ -182,22 +182,23 @@ def check_construction(
     large: LargeFamily,
     monomial_cap: int = DEFAULT_MONOMIAL_CAP,
     walks: str = "canonical",
-    walk_cap: int = 8,
 ) -> VerdictReport:
     """Three-way rank agreement: direct presentation, iterated blow-up
     construction, and the combinatorial oracle; with walks="all" every
-    admissible wall-crossing order is checked."""
+    admissible wall-crossing order is checked.  A family too large for
+    walk enumeration is refused with SizeCapError before any rank work,
+    never checked on fewer walks than asked for."""
     if walks not in ("canonical", "all"):
         raise ValueError("walks must be 'canonical' or 'all'")
     start = time.perf_counter()
+    if walks == "all":
+        walk_list = all_walks(large)
+    else:
+        walk_list = [canonical_walk(large)]
     geom = ProjectiveGeometry(dim, n)
     direct = graded_ranks(chow_presentation(geom, large), monomial_cap)
     oracle = rank_oracle(dim, n, large)
 
-    if walks == "all" and len(large.members) <= walk_cap:
-        walk_list = all_walks(large, walk_cap)
-    else:
-        walk_list = [canonical_walk(large)]
     walk_tables = [
         graded_ranks(iterated_presentation(geom, large, walk), monomial_cap)
         for walk in walk_list

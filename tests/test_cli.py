@@ -163,6 +163,25 @@ class TestVerify:
         report = json.loads((out / "report_construction_d1_n3.json").read_text())
         assert report["evidence"]["walks_checked"] == 6
 
+    def test_construction_all_walks_over_cap_refuses(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "verify",
+                "construction",
+                "--d",
+                "1",
+                "--n",
+                "4",
+                "--walk",
+                "all",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 3
+        assert list(tmp_path.rglob("report_*.json")) == []
+
     def test_unknown_scenario(self, tmp_path):
         assert main(["verify", "nonsense", "--out", str(tmp_path)]) == 2
 

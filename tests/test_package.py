@@ -1,0 +1,14 @@
+"""Tests for the package's public namespace."""
+
+import fmchow
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from fmchow import *", namespace)
+    missing = [name for name in fmchow.__all__ if name not in namespace]
+    assert missing == []
+
+
+def test_single_elimination_kernel():
+    assert fmchow.elimination_backend == "python"

@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+import fmchow.verify as verify_module
+from fmchow.errors import SizeCapError
 from fmchow.setcomb import LargeFamily
 from fmchow.verify import (
     check_construction,
@@ -78,6 +82,17 @@ class TestConstruction:
         assert report.passed
         assert report.evidence["walks_checked"] == 6
         assert report.evidence["first_divergence_degree"] is None
+
+    def test_all_walks_over_enumeration_cap_refuses_before_rank_work(
+        self, monkeypatch
+    ):
+        def no_rank_work(*args, **kwargs):
+            raise AssertionError("rank work started before the walk cap was checked")
+
+        monkeypatch.setattr(verify_module, "graded_ranks", no_rank_work)
+        fam = LargeFamily.all_subsets(4)  # 11 members, over the cap of 8
+        with pytest.raises(SizeCapError):
+            check_construction(1, 4, fam, walks="all")
 
     def test_dim_two_triple(self):
         fam = LargeFamily(3, frozenset({frozenset({1, 2, 3})}))
