@@ -20,12 +20,13 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from functools import partial
 
 from fmchow.errors import FmchowError, SizeCapError
 from fmchow.geomdata import ProjectiveGeometry
 from fmchow.present import chow_presentation, simplified_presentation
 from fmchow.ranks import graded_ranks, rank_oracle
-from fmchow.setcomb import LargeFamily, Weights
+from fmchow.setcomb import LargeFamily, Weights, all_walks
 from fmchow.verify import (
     DEFAULT_MONOMIAL_CAP,
     check_construction,
@@ -244,17 +245,20 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in known:
             raise UsageError(f"unknown scenario {name!r}; known: {sorted(known)}")
-    reports = []
+    # Resolve every scenario's instance, and enumerate the walks when all
+    # are asked for, before the first scenario runs: a usage error or a
+    # walk-cap refusal then comes before any rank work.
+    runs = []
     for name in names:
         if name == "counterexample":
-            reports.append(check_counterexample(args.cap))
+            runs.append(partial(check_counterexample, args.cap))
         elif name == "equivalence":
             if args.d is not None and args.n is not None:
                 instances = [(args.d, args.n)]
             else:
                 instances = [(1, 2), (1, 3), (2, 2)]
             for dim, n in instances:
-                reports.append(check_equivalence(dim, n, args.cap))
+                runs.append(partial(check_equivalence, dim, n, args.cap))
         else:
             if args.weights or args.large_sets or getattr(args, "config", None):
                 job = _job_from_args(args)
@@ -262,8 +266,11 @@ def cmd_verify(args) -> int:
                 job = Job(args.d, None, Weights((1,) * args.n), None)
             else:
                 job = Job(1, None, Weights((1, 1, 1)), None)
-            reports.append(
-                check_construction(
+            if args.walk == "all":
+                all_walks(job.family)
+            runs.append(
+                partial(
+                    check_construction,
                     job.geom.dim,
                     job.geom.n,
                     job.family,
@@ -271,6 +278,7 @@ def cmd_verify(args) -> int:
                     walks=args.walk,
                 )
             )
+    reports = [run() for run in runs]
     all_passed = True
     for i, report in enumerate(reports):
         tag = report.scenario

@@ -10,6 +10,28 @@ reporting surfaces: non-membership over the rationals certifies
 non-membership over the integers, but a positive membership answer is
 rational membership only -- integral torsion is out of scope.
 
+A degree slice builds no column and no row that elimination would only
+discard.  The single-term relations ("killers") generate a monomial ideal;
+every monomial a killer divides already lies in the span, so it is a dead
+column.  The live columns, the standard monomials of that ideal under the
+variable caps, are enumerated directly: the recursion over the variables
+stops as soon as a killer divides the exponents assigned so far.  The full
+basis is only counted, by a small DP over the variables, and the monomial
+cap refuses on that count -- all monomials of the degree, live or dead --
+before anything is enumerated.  Every other relation is multiplied only by
+live monomials: when a killer divides the shift it divides every term of
+the product, whose row would be empty.
+
+Monomials in a slice are packed integers.  With the field width
+w = bit_length(max(top degree, 1)), the exponent of variable i sits at bit
+i*w.  Every exponent of a monomial of degree at most the top degree is at
+most the top degree, hence below 2**w, so the product of two monomials
+whose degrees add up to at most the top degree is one integer addition
+that never carries from one field into the next.  Ascending integer order
+is the canonical basis order (`_mono_key`, later variables most
+significant).  A product term over a variable cap, or on a dead column, is
+absent from the index of live columns and is dropped there.
+
 The oracle (`rank_oracle`) never touches polynomials: it walks the large
 family superset-first and applies the additive rank decomposition of a
 blow-up, rank_k(after) = rank_k(before) + sum over i = 1..codim-1 of
@@ -20,7 +42,7 @@ presentation and `rank_oracle` is the package's central soundness check.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from fmchow._elim import Echelon
 from fmchow.errors import DegreeError, MapError, SizeCapError
@@ -55,40 +77,135 @@ def _exponents(caps, k):
     return out
 
 
-def monomials_of_degree(p: Presentation, k: int) -> list:
-    """All degree-k exponent tuples of the presentation's variables, in
-    ascending canonical order."""
+def _check_slice(p: Presentation, k: int):
     if not 0 <= k <= p.top_degree:
         raise ValueError(f"degree {k} outside 0..{p.top_degree}")
     if any(v.degree != 1 for v in p.table.vars):
         raise ValueError("monomial enumeration supports degree-1 variables only")
+
+
+def monomials_of_degree(p: Presentation, k: int) -> list:
+    """All degree-k exponent tuples of the presentation's variables, in
+    ascending canonical order."""
+    _check_slice(p, k)
     return sorted(_exponents(p.table.caps(), k), key=_mono_key)
 
 
-def _divides(lower, upper) -> bool:
-    return all(a <= b for a, b in zip(lower, upper))
+def _monomial_counts(caps, top: int) -> list:
+    """Number of monomials of each degree 0..top under the per-variable
+    caps: the coefficients of the product over the variables of
+    1 + q + ... + q^(cap-1), an uncapped variable giving 1/(1-q)."""
+    counts = [1] + [0] * top
+    for cap in caps:
+        window = 0
+        new = []
+        for d, c in enumerate(counts):
+            window += c
+            if cap is not None and d >= cap:
+                window -= counts[d - cap]
+            new.append(window)
+        counts = new
+    return counts
+
+
+def _refuse_over_cap(p: Presentation, degrees, monomial_cap) -> list:
+    """Monomial counts of degrees 0..max(degrees); raises SizeCapError at
+    the first of `degrees` with more monomials, live or dead, than the
+    cap."""
+    _check_slice(p, max(degrees))
+    counts = _monomial_counts(p.table.caps(), max(degrees))
+    if monomial_cap is not None:
+        for k in degrees:
+            if counts[k] > monomial_cap:
+                raise SizeCapError(
+                    f"degree {k} has {counts[k]} monomials, "
+                    f"over the cap of {monomial_cap}"
+                )
+    return counts
+
+
+def _field_width(top_degree: int) -> int:
+    return max(top_degree, 1).bit_length()
+
+
+def _pack(exps, width: int) -> int:
+    packed = 0
+    for i, e in enumerate(exps):
+        packed |= e << (i * width)
+    return packed
+
+
+def _unpack(packed: int, nvars: int, width: int) -> tuple:
+    mask = (1 << width) - 1
+    return tuple((packed >> (i * width)) & mask for i in range(nvars))
+
+
+def _live_monomials(caps, killers, k: int, width: int) -> list:
+    """Packed degree-k monomials under the caps that no killer (exponent
+    tuple) divides, in ascending canonical order.
+
+    The recursion assigns the last variable first and each exponent in
+    ascending order, which is ascending packed order.  A killer is tested
+    at its lowest variable, where its whole support has been assigned: if
+    it divides the exponents so far at exponent e there, it divides them
+    at every larger e and in every completion, so it bounds that loop.
+    """
+    nvars = len(caps)
+    by_low = [[] for _ in range(nvars)]
+    for killer in killers:
+        support = [(i, e) for i, e in enumerate(killer) if e]
+        if not support:
+            return []  # a unit relation kills every monomial
+        (low, e_low), rest = support[0], support[1:]
+        by_low[low].append((e_low, rest))
+    # room[i]: the most degree that variables 0..i-1 can take together
+    room = [0] * nvars
+    for i in range(1, nvars):
+        cap = caps[i - 1]
+        room[i] = min(k, room[i - 1] + (k if cap is None else cap - 1))
+    out = []
+    exps = [0] * nvars
+
+    def rec(i, remaining, packed):
+        top = remaining if caps[i] is None else min(remaining, caps[i] - 1)
+        for e_low, rest in by_low[i]:
+            if e_low <= top and all(exps[j] >= e for j, e in rest):
+                top = e_low - 1
+        if i == 0:
+            if remaining <= top:
+                out.append(packed + remaining)
+            return
+        step = 1 << (i * width)
+        for e in range(max(0, remaining - room[i]), top + 1):
+            exps[i] = e
+            rec(i - 1, remaining - e, packed + e * step)
+
+    rec(nvars - 1, k, 0)
+    return out
 
 
 class DegreeSpan:
-    """The degree-k slice of a presented ring: the monomial basis and the
-    row span of relation multiples, held in an incremental echelon form.
+    """The degree-k slice of a presented ring: its live columns and the
+    row span of relation multiples over them, held in an incremental
+    echelon form.
 
     Single-monomial relations are handled as a column filter (each such
     relation times a monomial is a unit row, so every monomial divisible
     by one is dead); this is ordinary elimination done cheaply and keeps
-    the echelon small.  Extra rows (ideal generators, mapped classes) can
-    be inserted afterwards; ranks always refer to the full column space.
+    the echelon small.  Only the live columns are enumerated, as packed
+    integers in canonical order, and each other relation is multiplied
+    only by the live monomials of the complementary degree (see the module
+    docstring for the encoding and why a product cannot carry).  The full
+    basis is counted, not built; `monomials` lists it on first use.  Extra
+    rows (ideal generators, mapped classes) can be inserted afterwards;
+    ranks always refer to the full column space.
     """
 
     def __init__(self, p: Presentation, k: int, monomial_cap: int = None):
         self.presentation = p
         self.degree = k
-        self.monomials = monomials_of_degree(p, k)
-        if monomial_cap is not None and len(self.monomials) > monomial_cap:
-            raise SizeCapError(
-                f"degree {k} has {len(self.monomials)} monomials, "
-                f"over the cap of {monomial_cap}"
-            )
+        self._count = _refuse_over_cap(p, [k], monomial_cap)[k]
+        self._width = _field_width(p.top_degree)
         killers = []
         generic = []
         for rel in p.relations:
@@ -96,58 +213,68 @@ class DegreeSpan:
                 killers.append(next(iter(rel.terms)))
             else:
                 generic.append(rel)
-        alive = []
-        for m in self.monomials:
-            if any(_divides(klr, m) for klr in killers):
-                continue
-            alive.append(m)
+        self._killers = killers
+        self._live = {}  # degree -> packed live monomials, ascending
+        alive = self._live_of(k)
         self._alive_index = {m: i for i, m in enumerate(alive)}
-        self._dead = len(self.monomials) - len(alive)
+        self._dead = self._count - len(alive)
         self._ech = Echelon(len(alive))
-        rows = self._product_rows(generic)
-        rows.sort(key=lambda row: (len(row[0]), row[0], row[1]))
-        for cols, coeffs in rows:
-            self._ech.insert(cols, coeffs)
+        self._insert_products(generic)
         self._relation_rank = self._dead + self._ech.rank
+
+    @cached_property
+    def monomials(self) -> list:
+        """The full degree-k basis, live and dead columns, in ascending
+        canonical order."""
+        return monomials_of_degree(self.presentation, self.degree)
 
     @property
     def alive_monomials(self) -> tuple:
         """Basis monomials not killed by a single-term relation, in column
         order: the columns of the echelon."""
-        return tuple(self._alive_index)
+        nvars = len(self.presentation.table)
+        return tuple(_unpack(m, nvars, self._width) for m in self._alive_index)
 
-    def _row(self, poly: Poly, shift=None):
-        """Coefficient row of poly (times an optional monomial shift) over
-        the alive basis, as sorted parallel (cols, coeffs) lists."""
-        caps = self.presentation.table.caps()
+    def _live_of(self, d: int) -> list:
+        live = self._live.get(d)
+        if live is None:
+            caps = self.presentation.table.caps()
+            live = self._live[d] = _live_monomials(caps, self._killers, d, self._width)
+        return live
+
+    def _packed_terms(self, poly: Poly) -> list:
+        return sorted((_pack(e, self._width), c) for e, c in poly.terms.items())
+
+    def _row(self, terms, shift: int = 0):
+        """Coefficient row of packed terms times a packed monomial shift
+        over the live columns, as parallel (cols, coeffs) lists.  The cols
+        ascend because the terms do and the live index is monotone."""
         index = self._alive_index
-        entries = {}
-        for exps, coeff in poly.terms.items():
-            if shift is not None:
-                exps = tuple(a + b for a, b in zip(exps, shift))
-                if any(c is not None and e >= c for e, c in zip(exps, caps)):
-                    continue
-            col = index.get(exps)
-            if col is None:
-                continue  # dead column: already in the span
-            entries[col] = entries.get(col, 0) + coeff
-        cols = sorted(c for c in entries if entries[c])
-        return cols, [entries[c] for c in cols]
+        cols = []
+        coeffs = []
+        for t, c in terms:
+            col = index.get(t + shift)
+            if col is not None:
+                cols.append(col)
+                coeffs.append(c)
+        return cols, coeffs
 
-    def _product_rows(self, polys):
+    def _insert_products(self, polys):
         rows = []
-        caps = self.presentation.table.caps()
         for g in polys:
             if g.is_zero():
                 continue
             dg = g.homogeneous_degree()
             if dg > self.degree:
                 continue
-            for shift in sorted(_exponents(caps, self.degree - dg), key=_mono_key):
-                cols, coeffs = self._row(g, shift)
+            terms = self._packed_terms(g)
+            for shift in self._live_of(self.degree - dg):
+                cols, coeffs = self._row(terms, shift)
                 if cols:
                     rows.append((cols, coeffs))
-        return rows
+        rows.sort(key=lambda row: (len(row[0]), row[0], row[1]))
+        for cols, coeffs in rows:
+            self._ech.insert(cols, coeffs)
 
     def vector(self, poly: Poly):
         if poly.is_zero():
@@ -156,15 +283,12 @@ class DegreeSpan:
             raise DegreeError(
                 f"expected a homogeneous polynomial of degree {self.degree}"
             )
-        return self._row(poly)
+        return self._row(self._packed_terms(poly))
 
     def insert_products(self, gens) -> int:
         """Insert g*m rows for extra generators; returns the rank gain."""
         before = self._ech.rank
-        rows = self._product_rows(list(gens))
-        rows.sort(key=lambda row: (len(row[0]), row[0], row[1]))
-        for cols, coeffs in rows:
-            self._ech.insert(cols, coeffs)
+        self._insert_products(gens)
         return self._ech.rank - before
 
     def insert(self, poly: Poly) -> bool:
@@ -186,16 +310,16 @@ class DegreeSpan:
         return self._relation_rank
 
     def quotient_rank(self) -> int:
-        return len(self.monomials) - self._relation_rank
+        return self._count - self._relation_rank
 
 
 def graded_ranks(p: Presentation, monomial_cap: int = None) -> RankTable:
     """Exact rank of each graded piece of the presented quotient, degrees
-    0..top_degree."""
-    return [
-        DegreeSpan(p, k, monomial_cap).quotient_rank()
-        for k in range(p.top_degree + 1)
-    ]
+    0..top_degree.  Every degree is checked against the monomial cap
+    before any span is built."""
+    degrees = range(p.top_degree + 1)
+    _refuse_over_cap(p, degrees, monomial_cap)
+    return [DegreeSpan(p, k).quotient_rank() for k in degrees]
 
 
 def membership(p: Presentation, gens, f: Poly, monomial_cap: int = None) -> bool:
@@ -218,12 +342,11 @@ def membership(p: Presentation, gens, f: Poly, monomial_cap: int = None) -> bool
 
 def ideal_ranks(p: Presentation, gens, monomial_cap: int = None) -> RankTable:
     """Per-degree rank of the ideal generated by `gens` inside the
-    presented quotient ring."""
-    out = []
-    for k in range(p.top_degree + 1):
-        span = DegreeSpan(p, k, monomial_cap)
-        out.append(span.insert_products(gens))
-    return out
+    presented quotient ring.  Every degree is checked against the monomial
+    cap before any span is built."""
+    degrees = range(p.top_degree + 1)
+    _refuse_over_cap(p, degrees, monomial_cap)
+    return [DegreeSpan(p, k).insert_products(gens) for k in degrees]
 
 
 def map_poly(poly: Poly, images: dict, target: Presentation) -> Poly:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fmchow.cli
 from fmchow.cli import main
 
 
@@ -179,6 +180,17 @@ class TestVerify:
                 str(out),
             ]
         )
+        assert code == 3
+        assert list(tmp_path.rglob("report_*.json")) == []
+
+    def test_all_walks_refusal_comes_before_any_scenario(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a scenario ran before the walk-cap refusal")
+
+        monkeypatch.setattr(fmchow.cli, "check_counterexample", never)
+        monkeypatch.setattr(fmchow.cli, "check_equivalence", never)
+        out = tmp_path / "out"
+        code = main(["verify", "--d", "1", "--n", "4", "--walk", "all", "--out", str(out)])
         assert code == 3
         assert list(tmp_path.rglob("report_*.json")) == []
 

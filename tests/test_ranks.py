@@ -4,14 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fmchow.ranks
 from fmchow._elim import Echelon
 from fmchow.errors import DegreeError, MapError, SizeCapError
 from fmchow.geomdata import ProjectiveGeometry
-from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable
+from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable, _mono_key
 from fmchow.present import blowup_step, chow_presentation
 from fmchow.ranks import (
     DegreeSpan,
+    _field_width,
+    _live_monomials,
+    _monomial_counts,
+    _pack,
+    _unpack,
     graded_ranks,
     ideal_ranks,
     kernel_ranks,
@@ -152,6 +160,135 @@ class TestGradedRanks:
         assert span.monomials == [(3, 0), (2, 1), (1, 2), (0, 3)]
         assert span.alive_monomials == ((3, 0), (1, 2), (0, 3))
         assert span.quotient_rank() == 1
+
+
+    def test_refusal_comes_before_any_span(self, monkeypatch):
+        g = ProjectiveGeometry(1, 5)
+        p = chow_presentation(g, LargeFamily.all_subsets(5))
+
+        def no_echelon(ncols):
+            raise AssertionError("a degree span was built before the cap refusal")
+
+        monkeypatch.setattr(fmchow.ranks, "Echelon", no_echelon)
+        message = "degree 3 has 5301 monomials, over the cap of 1000"
+        with pytest.raises(SizeCapError, match=message):
+            graded_ranks(p, monomial_cap=1000)
+        with pytest.raises(SizeCapError, match=message):
+            ideal_ranks(p, [], monomial_cap=1000)
+
+
+#: top degrees on both sides of each change of the packed field width
+TOP_DEGREES = (0, 1, 3, 4, 7, 8)
+
+
+@st.composite
+def small_presentations(draw, max_vars=4, tops=TOP_DEGREES, generic=False):
+    """Random presentations with capped and uncapped degree-1 variables,
+    single-term relations ("killers") and, optionally, two-term ones."""
+    top = draw(st.sampled_from(tops))
+    nvars = draw(st.integers(1, max_vars))
+    caps = draw(st.lists(st.none() | st.integers(1, top + 2), min_size=nvars, max_size=nvars))
+    table = VarTable(tuple(Var(f"x{i}", 1, cap) for i, cap in enumerate(caps)))
+
+    def monomial_of(degree):
+        exps = [0] * nvars
+        for i in draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)):
+            exps[i] += 1
+        return tuple(exps)
+
+    relations = [
+        Poly.monomial(table, monomial_of(draw(st.integers(1, max(top, 1)))))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if generic:
+        for _ in range(draw(st.integers(0, 3))):
+            degree = draw(st.integers(1, max(top, 1)))
+            a, b = monomial_of(degree), monomial_of(degree)
+            relations.append(
+                Poly.monomial(table, a, draw(st.integers(1, 3)))
+                - Poly.monomial(table, b, draw(st.integers(1, 3)))
+            )
+    return Presentation(table, relations, top)
+
+
+def killers_of(p):
+    return [next(iter(r.terms)) for r in p.relations if len(r.terms) == 1]
+
+
+def reference_live(p, k):
+    """The live basis by its definition: every capped monomial that no
+    single-term relation divides, in canonical order."""
+    killers = killers_of(p)
+    return [
+        m
+        for m in monomials_of_degree(p, k)
+        if not any(all(a <= b for a, b in zip(klr, m)) for klr in killers)
+    ]
+
+
+class TestLiveColumns:
+    @settings(deadline=None)
+    @given(small_presentations())
+    def test_count_dp_equals_enumeration(self, p):
+        counts = _monomial_counts(p.table.caps(), p.top_degree)
+        assert counts == [len(monomials_of_degree(p, k)) for k in range(p.top_degree + 1)]
+
+    @settings(deadline=None)
+    @given(small_presentations(), st.data())
+    def test_live_enumeration_equals_filtered_basis(self, p, data):
+        k = data.draw(st.integers(0, p.top_degree))
+        width = _field_width(p.top_degree)
+        packed = _live_monomials(p.table.caps(), killers_of(p), k, width)
+        assert packed == sorted(set(packed))
+        live = [_unpack(m, len(p.table), width) for m in packed]
+        assert live == reference_live(p, k)
+        assert DegreeSpan(p, k).alive_monomials == tuple(live)
+
+    @given(st.sampled_from(TOP_DEGREES), st.integers(1, 5), st.data())
+    def test_packing_round_trips_orders_and_never_carries(self, top, nvars, data):
+        width = _field_width(top)
+
+        def monomial():
+            exps = [0] * nvars
+            for i in data.draw(st.lists(st.integers(0, nvars - 1), max_size=top)):
+                exps[i] += 1
+            return exps
+
+        a, b = monomial(), monomial()
+        assert _unpack(_pack(a, width), nvars, width) == tuple(a)
+        assert (_pack(a, width) < _pack(b, width)) == (_mono_key(a) < _mono_key(b))
+        if sum(a) + sum(b) <= top:
+            total = [x + y for x, y in zip(a, b)]
+            assert _pack(a, width) + _pack(b, width) == _pack(total, width)
+
+    @settings(deadline=None, max_examples=60)
+    @given(small_presentations(max_vars=3, tops=(0, 1, 3, 4), generic=True), st.data())
+    def test_quotient_rank_matches_dense_reference(self, p, data):
+        # reference: every relation times every capped monomial, over the
+        # full basis, ranked by plain Gaussian elimination over Fractions
+        k = data.draw(st.integers(0, p.top_degree))
+        basis = monomials_of_degree(p, k)
+        col = {m: i for i, m in enumerate(basis)}
+        rows = []
+        for rel in p.relations:
+            d = rel.homogeneous_degree()
+            if d > k:
+                continue
+            for shift in monomials_of_degree(p, k - d):
+                prod = rel * Poly.monomial(p.table, shift)
+                rows.append({col[m]: c for m, c in prod.terms.items()})
+        span = DegreeSpan(p, k)
+        assert span.quotient_rank() == len(basis) - dense_rank(rows, len(basis))
+        assert span.monomials == basis
+
+    @given(small_presentations())
+    def test_degree_span_rejects_bad_slices(self, p):
+        for k in (-1, p.top_degree + 1):
+            with pytest.raises(ValueError):
+                DegreeSpan(p, k)
+        graded = VarTable(p.table.vars + (Var("y", 2, None),))
+        with pytest.raises(ValueError):
+            DegreeSpan(Presentation(graded, [], p.top_degree), 0)
 
 
 class TestMembership:
