@@ -44,10 +44,12 @@ from fmchow.present import (
 )
 from fmchow.ranks import (
     DegreeSpan,
+    check_monomial_cap,
     graded_ranks,
     ideal_ranks,
     kernel_ranks,
     membership,
+    memberships,
     monomials_of_degree,
     rank_oracle,
 )
@@ -99,6 +101,7 @@ __all__ = [
     "check_construction",
     "check_counterexample",
     "check_equivalence",
+    "check_monomial_cap",
     "chern_eval",
     "chern_mul",
     "chern_pair",
@@ -115,6 +118,7 @@ __all__ = [
     "iterated_presentation",
     "kernel_ranks",
     "membership",
+    "memberships",
     "merge_family",
     "monomials_of_degree",
     "rank_oracle",

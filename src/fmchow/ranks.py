@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 
 from fmchow._elim import Echelon
 from fmchow.errors import DegreeError, MapError, SizeCapError
-from fmchow.polyalg import Poly, Presentation, _mono_key
+from fmchow.polyalg import Poly, Presentation, VarTable, _mono_key
 from fmchow.setcomb import LargeFamily, canonical_walk, merge_family
 
 RankTable = list
@@ -77,17 +77,17 @@ def _exponents(caps, k):
     return out
 
 
-def _check_slice(p: Presentation, k: int):
-    if not 0 <= k <= p.top_degree:
-        raise ValueError(f"degree {k} outside 0..{p.top_degree}")
-    if any(v.degree != 1 for v in p.table.vars):
+def _check_slice(table: VarTable, top_degree: int, k: int):
+    if not 0 <= k <= top_degree:
+        raise ValueError(f"degree {k} outside 0..{top_degree}")
+    if any(v.degree != 1 for v in table.vars):
         raise ValueError("monomial enumeration supports degree-1 variables only")
 
 
 def monomials_of_degree(p: Presentation, k: int) -> list:
     """All degree-k exponent tuples of the presentation's variables, in
     ascending canonical order."""
-    _check_slice(p, k)
+    _check_slice(p.table, p.top_degree, k)
     return sorted(_exponents(p.table.caps(), k), key=_mono_key)
 
 
@@ -108,12 +108,15 @@ def _monomial_counts(caps, top: int) -> list:
     return counts
 
 
-def _refuse_over_cap(p: Presentation, degrees, monomial_cap) -> list:
-    """Monomial counts of degrees 0..max(degrees); raises SizeCapError at
-    the first of `degrees` with more monomials, live or dead, than the
-    cap."""
-    _check_slice(p, max(degrees))
-    counts = _monomial_counts(p.table.caps(), max(degrees))
+def check_monomial_cap(
+    table: VarTable, top_degree: int, degrees, monomial_cap: int = None
+) -> list:
+    """Monomial counts of degrees 0..max(degrees) in a ring with these
+    variables and top degree; raises SizeCapError at the first of
+    `degrees` with more monomials, live or dead, than the cap.  It needs
+    no relations, so a caller can refuse before building a presentation."""
+    _check_slice(table, top_degree, max(degrees))
+    counts = _monomial_counts(table.caps(), max(degrees))
     if monomial_cap is not None:
         for k in degrees:
             if counts[k] > monomial_cap:
@@ -204,7 +207,7 @@ class DegreeSpan:
     def __init__(self, p: Presentation, k: int, monomial_cap: int = None):
         self.presentation = p
         self.degree = k
-        self._count = _refuse_over_cap(p, [k], monomial_cap)[k]
+        self._count = check_monomial_cap(p.table, p.top_degree, [k], monomial_cap)[k]
         self._width = _field_width(p.top_degree)
         killers = []
         generic = []
@@ -313,31 +316,57 @@ class DegreeSpan:
         return self._count - self._relation_rank
 
 
+def _per_degree(p: Presentation, degrees, monomial_cap, answer) -> list:
+    """answer(DegreeSpan(p, k)) for each of `degrees`, in order.  Every
+    degree is checked against the monomial cap before any span is built,
+    and only one span is alive at a time."""
+    degrees = list(degrees)
+    if degrees:
+        check_monomial_cap(p.table, p.top_degree, degrees, monomial_cap)
+    return [answer(DegreeSpan(p, k)) for k in degrees]
+
+
 def graded_ranks(p: Presentation, monomial_cap: int = None) -> RankTable:
     """Exact rank of each graded piece of the presented quotient, degrees
     0..top_degree.  Every degree is checked against the monomial cap
     before any span is built."""
-    degrees = range(p.top_degree + 1)
-    _refuse_over_cap(p, degrees, monomial_cap)
-    return [DegreeSpan(p, k).quotient_rank() for k in degrees]
+    return _per_degree(p, range(p.top_degree + 1), monomial_cap, DegreeSpan.quotient_rank)
+
+
+def memberships(p: Presentation, gens, polys, monomial_cap: int = None) -> list:
+    """Rational ideal membership of each of `polys` in <gens> inside the
+    presented ring, in order.
+
+    Every degree queried is checked against the monomial cap first; then
+    one span of relation and generator multiples per degree answers all
+    the queries of that degree.  A False answer is sound over the integers
+    as well; a True answer certifies membership over the rationals only.
+    Zero and classes above the top degree are members; an inhomogeneous
+    query raises DegreeError before any span is built.
+    """
+    gens = list(gens)
+    polys = list(polys)
+    answers = [True] * len(polys)
+    by_degree = {}
+    for i, f in enumerate(polys):
+        if not f.is_zero():
+            k = f.homogeneous_degree()
+            if k <= p.top_degree:
+                by_degree.setdefault(k, []).append(i)
+
+    def answer(span):
+        span.insert_products(gens)
+        for i in by_degree[span.degree]:
+            answers[i] = span.reduces_to_zero(polys[i])
+
+    _per_degree(p, sorted(by_degree), monomial_cap, answer)
+    return answers
 
 
 def membership(p: Presentation, gens, f: Poly, monomial_cap: int = None) -> bool:
-    """Rational ideal membership of f in <gens> inside the presented ring.
-
-    True iff f lies in the span of generator and relation multiples at its
-    degree.  A False answer is sound over the integers as well; a True
-    answer certifies membership over the rationals only.  Classes above
-    the top degree are zero by convention, hence members.
-    """
-    if f.is_zero():
-        return True
-    k = f.homogeneous_degree()
-    if k > p.top_degree:
-        return True
-    span = DegreeSpan(p, k, monomial_cap)
-    span.insert_products(gens)
-    return span.reduces_to_zero(f)
+    """Rational ideal membership of f in <gens> inside the presented ring:
+    `memberships` of the one query."""
+    return memberships(p, gens, [f], monomial_cap)[0]
 
 
 def ideal_ranks(p: Presentation, gens, monomial_cap: int = None) -> RankTable:
@@ -345,8 +374,7 @@ def ideal_ranks(p: Presentation, gens, monomial_cap: int = None) -> RankTable:
     presented quotient ring.  Every degree is checked against the monomial
     cap before any span is built."""
     degrees = range(p.top_degree + 1)
-    _refuse_over_cap(p, degrees, monomial_cap)
-    return [DegreeSpan(p, k).insert_products(gens) for k in degrees]
+    return _per_degree(p, degrees, monomial_cap, lambda span: span.insert_products(gens))
 
 
 def map_poly(poly: Poly, images: dict, target: Presentation) -> Poly:
@@ -376,7 +404,9 @@ def kernel_ranks(
     the target ideal (rational membership; checked, MapError otherwise).
     Kernel rank at degree k is source quotient rank minus the rank of the
     image of the source basis monomials in the target quotient.  Degrees
-    above the target's top degree have zero image.
+    above the target's top degree have zero image.  Every degree a span is
+    built for, source and target, is checked against the monomial cap
+    before the first span.
     """
     for name in p_source.table.names():
         img = var_images.get(name)
@@ -384,22 +414,29 @@ def kernel_ranks(
             raise MapError(f"no image given for variable {name!r}")
         if not img.is_zero() and img.homogeneous_degree() != 1:
             raise DegreeError(f"image of {name!r} must be homogeneous of degree 1")
-    for rel in p_source.relations:
-        img = map_poly(rel, var_images, p_target)
-        if not membership(p_target, [], img, monomial_cap):
+    source_degrees = range(p_source.top_degree + 1)
+    check_monomial_cap(p_source.table, p_source.top_degree, source_degrees, monomial_cap)
+    shared = range(min(p_source.top_degree, p_target.top_degree) + 1)
+    check_monomial_cap(p_target.table, p_target.top_degree, shared, monomial_cap)
+    # `memberships` checks the degrees of its queries before its first span
+    mapped = [map_poly(rel, var_images, p_target) for rel in p_source.relations]
+    for rel, member in zip(
+        p_source.relations, memberships(p_target, [], mapped, monomial_cap)
+    ):
+        if not member:
             raise MapError(
                 f"map is not well defined: relation {rel} does not map into "
                 "the target ideal",
                 offending=rel,
             )
     out = []
-    for k in range(p_source.top_degree + 1):
-        src_span = DegreeSpan(p_source, k, monomial_cap)
+    for k in source_degrees:
+        src_span = DegreeSpan(p_source, k)
         src_rank = src_span.quotient_rank()
         if k > p_target.top_degree:
             out.append(src_rank)
             continue
-        tgt_span = DegreeSpan(p_target, k, monomial_cap)
+        tgt_span = DegreeSpan(p_target, k)
         image = 0
         # dead monomials are zero in the source quotient and contribute nothing
         for m in src_span.alive_monomials:

@@ -14,7 +14,9 @@ Scenarios:
   kernel <h^3, h*E> is confirmed against the computed kernel ranks.
 * equivalence -- at all-ones weights the full presentation and the
   simplified pairwise presentation have the same graded ranks, and each
-  relation family lies in the other's ideal degree by degree.
+  relation family lies in the other's ideal degree by degree.  The
+  membership queries of one direction are answered in one batch: the
+  queries of a degree share one span of the other side's relations.
 * construction -- graded ranks of the direct presentation, of the
   iterated one-blow-up-at-a-time presentation, and of the combinatorial
   rank oracle all agree; optionally over every admissible walk.
@@ -34,7 +36,14 @@ from fmchow.present import (
     iterated_presentation,
     simplified_presentation,
 )
-from fmchow.ranks import graded_ranks, ideal_ranks, kernel_ranks, membership, rank_oracle
+from fmchow.ranks import (
+    graded_ranks,
+    ideal_ranks,
+    kernel_ranks,
+    membership,
+    memberships,
+    rank_oracle,
+)
 from fmchow.setcomb import LargeFamily, all_walks, canonical_walk
 
 #: refuse degrees with more quotient-ring monomials than this
@@ -131,6 +140,13 @@ def check_counterexample(monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> VerdictRep
     )
 
 
+def _outside_ideal(polys, p: Presentation, monomial_cap) -> list:
+    """The polynomials, as strings and in order, that are not rational
+    members of the relation ideal of p."""
+    answers = memberships(p, [], polys, monomial_cap)
+    return [str(f) for f, member in zip(polys, answers) if not member]
+
+
 def check_equivalence(
     dim: int, n: int, monomial_cap: int = DEFAULT_MONOMIAL_CAP
 ) -> VerdictReport:
@@ -144,16 +160,8 @@ def check_equivalence(
     ranks_full = graded_ranks(full, monomial_cap)
     ranks_simple = graded_ranks(simple, monomial_cap)
 
-    missing_in_simple = [
-        str(rel)
-        for rel in full.relations
-        if not membership(simple, [], rel, monomial_cap)
-    ]
-    missing_in_full = [
-        str(rel)
-        for rel in simple.relations
-        if not membership(full, [], rel, monomial_cap)
-    ]
+    missing_in_simple = _outside_ideal(full.relations, simple, monomial_cap)
+    missing_in_full = _outside_ideal(simple.relations, full, monomial_cap)
     passed = (
         ranks_full == ranks_simple
         and not missing_in_simple

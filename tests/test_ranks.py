@@ -25,6 +25,7 @@ from fmchow.ranks import (
     kernel_ranks,
     map_poly,
     membership,
+    memberships,
     monomials_of_degree,
     rank_oracle,
 )
@@ -326,6 +327,81 @@ class TestMembership:
         assert membership(p, [], (h * e) * (h * e)) is True
 
 
+def draw_form(data, table, degree):
+    """A random homogeneous polynomial of the given degree with small
+    coefficients; it may be zero, for example when every term dies on a
+    variable cap."""
+    nvars = len(table)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        exps = [0] * nvars
+        for i in data.draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)):
+            exps[i] += 1
+        terms[tuple(exps)] = data.draw(st.integers(-2, 2))
+    return Poly(table, terms)
+
+
+def reference_membership(p, gens, f):
+    """One query the way it is defined: a fresh span of its degree."""
+    if f.is_zero():
+        return True
+    k = f.homogeneous_degree()
+    if k > p.top_degree:
+        return True
+    span = DegreeSpan(p, k)
+    span.insert_products(gens)
+    return span.reduces_to_zero(f)
+
+
+class TestBatchedMembership:
+    @settings(deadline=None, max_examples=60)
+    @given(small_presentations(max_vars=3, tops=(0, 1, 3, 4), generic=True), st.data())
+    def test_batch_equals_one_span_per_query(self, p, data):
+        table, top = p.table, p.top_degree
+        gens = [
+            draw_form(data, table, data.draw(st.integers(1, max(top, 1))))
+            for _ in range(data.draw(st.integers(0, 2)))
+        ]
+        queries = [Poly.zero(table), draw_form(data, table, top + 1)]
+        for _ in range(data.draw(st.integers(0, 6))):
+            k = data.draw(st.integers(0, top + 1))
+            factors = [
+                g
+                for g in gens + list(p.relations)
+                if not g.is_zero() and g.homogeneous_degree() <= k
+            ]
+            queries.append(draw_form(data, table, k))
+            if factors:
+                # a multiple of a relation or generator, a member, beside a
+                # form of the same degree that may not be one
+                g = data.draw(st.sampled_from(factors))
+                queries.append(g * draw_form(data, table, k - g.homogeneous_degree()))
+        queries = data.draw(st.permutations(queries))
+        expected = [reference_membership(p, gens, f) for f in queries]
+        assert memberships(p, gens, queries) == expected
+        assert [membership(p, gens, f) for f in queries] == expected
+
+        survivors = [v.name for v in table.vars if v.cap != 1]
+        if survivors:
+            mixed = Poly.constant(table, 1) + Poly.variable(table, survivors[0])
+            at = data.draw(st.integers(0, len(queries)))
+            with pytest.raises(DegreeError):
+                memberships(p, gens, queries[:at] + [mixed] + queries[at:])
+
+    def test_answers_follow_the_queries_within_a_degree(self):
+        p, h, e = blown_up_p3()
+        relation = e * e - 2 * h * e + h * h
+        queries = [h * e, Poly.zero(p.table), h * h * e, h * h, (h * e) * (h * e), relation]
+        assert memberships(p, [h * h * h], queries) == [False, True, True, False, True, True]
+        assert memberships(p, [h * h * h], queries[::-1]) == [True, True, False, True, True, False]
+
+    def test_generators_may_be_an_iterator(self):
+        p, h, e = blown_up_p3()
+        queries = [h * e, h * h * e, h * h * e * e, h * e * e]
+        expected = [reference_membership(p, [h * e], f) for f in queries]
+        assert memberships(p, iter([h * e]), queries) == expected == [True] * 4
+
+
 class TestIdealAndKernelRanks:
     def test_corrected_kernel_ideal(self):
         p, h, e = blown_up_p3()
@@ -354,6 +430,29 @@ class TestIdealAndKernelRanks:
         with pytest.raises(MapError) as exc_info:
             kernel_ranks(p, target, {"h": hh, "E": Poly.zero(table)})
         assert exc_info.value.offending is not None
+
+    @pytest.mark.parametrize("big_side", ["source", "target"])
+    def test_kernel_refusal_comes_before_any_span(self, monkeypatch, big_side):
+        big = chow_presentation(ProjectiveGeometry(1, 5), LargeFamily.all_subsets(5))
+        small, h, e = blown_up_p3()
+        if big_side == "source":
+            source, target = big, small
+            images = {name: h for name in big.table.names()}
+        else:
+            source, target = small, big
+            names = big.table.names()
+            images = {
+                "h": Poly.variable(big.table, names[0]),
+                "E": Poly.variable(big.table, names[-1]),
+            }
+
+        def no_echelon(ncols):
+            raise AssertionError("a degree span was built before the cap refusal")
+
+        monkeypatch.setattr(fmchow.ranks, "Echelon", no_echelon)
+        message = "degree 3 has 5301 monomials, over the cap of 1000"
+        with pytest.raises(SizeCapError, match=message):
+            kernel_ranks(source, target, images, monomial_cap=1000)
 
     def test_map_poly_multiplicative(self):
         p, h, e = blown_up_p3()

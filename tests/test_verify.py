@@ -6,6 +6,7 @@ import pytest
 
 import fmchow.verify as verify_module
 from fmchow.errors import SizeCapError
+from fmchow.ranks import DegreeSpan
 from fmchow.setcomb import LargeFamily
 from fmchow.verify import (
     check_construction,
@@ -67,6 +68,40 @@ class TestEquivalence:
         report = check_equivalence(2, 2)
         assert report.passed
         assert report.evidence["ranks_full"] == [1, 3, 4, 3, 1]
+
+
+    def test_four_points_build_one_span_per_side_and_degree(self, monkeypatch):
+        # the rank tables take 5 spans a side; the simplified side answers
+        # the full relations (degrees 1, 2, 3) and the full side the
+        # simplified ones (degrees 1, 2), one span per degree queried
+        built = []
+        init = DegreeSpan.__init__
+
+        def counting_init(self, p, k, monomial_cap=None):
+            built.append((len(p.relations), k))
+            init(self, p, k, monomial_cap)
+
+        monkeypatch.setattr(DegreeSpan, "__init__", counting_init)
+        report = check_equivalence(1, 4)
+        assert len(built) == 15
+        assert sorted(built) == sorted(
+            [(106, k) for k in range(5)]
+            + [(53, k) for k in range(5)]
+            + [(53, k) for k in (1, 2, 3)]
+            + [(106, k) for k in (1, 2)]
+        )
+        assert report.passed
+        assert report.evidence == {
+            "dim": 1,
+            "n": 4,
+            "ranks_full": [1, 9, 16, 9, 1],
+            "ranks_simplified": [1, 9, 16, 9, 1],
+            "relation_counts": {"full": 106, "simplified": 53},
+            "full_relations_outside_simplified_ideal": [],
+            "simplified_relations_outside_full_ideal": [],
+            "first_divergence_degree": None,
+            "membership_semantics": "rational",
+        }
 
 
 class TestConstruction:
