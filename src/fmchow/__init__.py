@@ -44,7 +44,6 @@ from fmchow.present import (
 )
 from fmchow.ranks import (
     DegreeSpan,
-    check_monomial_cap,
     graded_ranks,
     ideal_ranks,
     kernel_ranks,
@@ -101,7 +100,6 @@ __all__ = [
     "check_construction",
     "check_counterexample",
     "check_equivalence",
-    "check_monomial_cap",
     "chern_eval",
     "chern_mul",
     "chern_pair",

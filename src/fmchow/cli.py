@@ -25,7 +25,7 @@ from functools import partial
 from fmchow.errors import FmchowError, SizeCapError
 from fmchow.geomdata import ProjectiveGeometry
 from fmchow.present import chow_presentation, simplified_presentation
-from fmchow.ranks import check_monomial_cap, graded_ranks, rank_oracle
+from fmchow.ranks import graded_ranks, rank_oracle
 from fmchow.setcomb import LargeFamily, Weights, all_walks
 from fmchow.verify import (
     DEFAULT_MONOMIAL_CAP,
@@ -222,10 +222,6 @@ def cmd_present(args) -> int:
 
 def cmd_ranks(args) -> int:
     job = _job_from_args(args)
-    # the cap needs only the variables and the top degree: refuse before
-    # the presentation is built
-    top = job.geom.top_degree()
-    check_monomial_cap(job.geom.table_for(job.family), top, range(top + 1), args.cap)
     presentation = chow_presentation(job.geom, job.family)
     table = graded_ranks(presentation, args.cap)
     oracle = rank_oracle(job.geom.dim, job.geom.n, job.family)

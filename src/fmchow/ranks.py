@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 
 from fmchow._elim import Echelon
 from fmchow.errors import DegreeError, MapError, SizeCapError
-from fmchow.polyalg import Poly, Presentation, VarTable, _mono_key
+from fmchow.polyalg import Poly, Presentation, _mono_key
 from fmchow.setcomb import LargeFamily, canonical_walk, merge_family
 
 RankTable = list
@@ -77,17 +77,17 @@ def _exponents(caps, k):
     return out
 
 
-def _check_slice(table: VarTable, top_degree: int, k: int):
-    if not 0 <= k <= top_degree:
-        raise ValueError(f"degree {k} outside 0..{top_degree}")
-    if any(v.degree != 1 for v in table.vars):
+def _check_slice(p: Presentation, k: int):
+    if not 0 <= k <= p.top_degree:
+        raise ValueError(f"degree {k} outside 0..{p.top_degree}")
+    if any(v.degree != 1 for v in p.table.vars):
         raise ValueError("monomial enumeration supports degree-1 variables only")
 
 
 def monomials_of_degree(p: Presentation, k: int) -> list:
     """All degree-k exponent tuples of the presentation's variables, in
     ascending canonical order."""
-    _check_slice(p.table, p.top_degree, k)
+    _check_slice(p, k)
     return sorted(_exponents(p.table.caps(), k), key=_mono_key)
 
 
@@ -108,15 +108,12 @@ def _monomial_counts(caps, top: int) -> list:
     return counts
 
 
-def check_monomial_cap(
-    table: VarTable, top_degree: int, degrees, monomial_cap: int = None
-) -> list:
-    """Monomial counts of degrees 0..max(degrees) in a ring with these
-    variables and top degree; raises SizeCapError at the first of
-    `degrees` with more monomials, live or dead, than the cap.  It needs
-    no relations, so a caller can refuse before building a presentation."""
-    _check_slice(table, top_degree, max(degrees))
-    counts = _monomial_counts(table.caps(), max(degrees))
+def _refuse_over_cap(p: Presentation, degrees, monomial_cap) -> list:
+    """Monomial counts of degrees 0..max(degrees); raises SizeCapError at
+    the first of `degrees` with more monomials, live or dead, than the
+    cap."""
+    _check_slice(p, max(degrees))
+    counts = _monomial_counts(p.table.caps(), max(degrees))
     if monomial_cap is not None:
         for k in degrees:
             if counts[k] > monomial_cap:
@@ -207,7 +204,7 @@ class DegreeSpan:
     def __init__(self, p: Presentation, k: int, monomial_cap: int = None):
         self.presentation = p
         self.degree = k
-        self._count = check_monomial_cap(p.table, p.top_degree, [k], monomial_cap)[k]
+        self._count = _refuse_over_cap(p, [k], monomial_cap)[k]
         self._width = _field_width(p.top_degree)
         killers = []
         generic = []
@@ -322,7 +319,7 @@ def _per_degree(p: Presentation, degrees, monomial_cap, answer) -> list:
     and only one span is alive at a time."""
     degrees = list(degrees)
     if degrees:
-        check_monomial_cap(p.table, p.top_degree, degrees, monomial_cap)
+        _refuse_over_cap(p, degrees, monomial_cap)
     return [answer(DegreeSpan(p, k)) for k in degrees]
 
 
@@ -415,9 +412,9 @@ def kernel_ranks(
         if not img.is_zero() and img.homogeneous_degree() != 1:
             raise DegreeError(f"image of {name!r} must be homogeneous of degree 1")
     source_degrees = range(p_source.top_degree + 1)
-    check_monomial_cap(p_source.table, p_source.top_degree, source_degrees, monomial_cap)
+    _refuse_over_cap(p_source, source_degrees, monomial_cap)
     shared = range(min(p_source.top_degree, p_target.top_degree) + 1)
-    check_monomial_cap(p_target.table, p_target.top_degree, shared, monomial_cap)
+    _refuse_over_cap(p_target, shared, monomial_cap)
     # `memberships` checks the degrees of its queries before its first span
     mapped = [map_poly(rel, var_images, p_target) for rel in p_source.relations]
     for rel, member in zip(

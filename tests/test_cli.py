@@ -127,22 +127,6 @@ class TestRanks:
         assert code == 3
 
 
-    def test_cap_refusal_comes_before_the_presentation(self, tmp_path, monkeypatch, capsys):
-        def no_presentation(*args, **kwargs):
-            raise AssertionError("the presentation was built before the cap refusal")
-
-        monkeypatch.setattr(fmchow.cli, "chow_presentation", no_presentation)
-        out = tmp_path / "out"
-        code = main(
-            ["ranks", "--d", "1", "--weights", "1,1,1,1,1", "--cap", "1000", "--out", str(out)]
-        )
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "size cap exceeded: degree 3 has 5301 monomials, over the cap of 1000\n"
-        )
-        assert not out.exists()
-
-
 class TestVerify:
     def test_counterexample_scenario(self, tmp_path):
         out = tmp_path / "out"

@@ -14,8 +14,7 @@ def test_single_elimination_kernel():
     assert fmchow.elimination_backend == "python"
 
 
-def test_star_import_exports_batched_membership_and_cap_check():
+def test_star_import_exports_batched_membership():
     namespace = {}
     exec("from fmchow import *", namespace)
     assert namespace["memberships"] is fmchow.ranks.memberships
-    assert namespace["check_monomial_cap"] is fmchow.ranks.check_monomial_cap
