@@ -10,17 +10,30 @@ reporting surfaces: non-membership over the rationals certifies
 non-membership over the integers, but a positive membership answer is
 rational membership only -- integral torsion is out of scope.
 
-A degree slice builds no column and no row that elimination would only
-discard.  The single-term relations ("killers") generate a monomial ideal;
-every monomial a killer divides already lies in the span, so it is a dead
-column.  The live columns, the standard monomials of that ideal under the
-variable caps, are enumerated directly: the recursion over the variables
-stops as soon as a killer divides the exponents assigned so far.  The full
-basis is only counted, by a small DP over the variables, and the monomial
-cap refuses on that count -- all monomials of the degree, live or dead --
-before anything is enumerated.  Every other relation is multiplied only by
-live monomials: when a killer divides the shift it divides every term of
-the product, whose row would be empty.
+A degree slice builds no dead column.  The single-term relations
+("killers") generate a monomial ideal; every monomial a killer divides
+already lies in the span, so it is a dead column.  The live columns, the
+standard monomials of that ideal under the variable caps, are enumerated
+directly: the recursion over the variables stops as soon as a killer
+divides the exponents assigned so far.  The full basis is only counted, by
+a small DP over the variables, and the monomial cap refuses on that count
+-- all monomials of the degree, live or dead -- before anything is
+enumerated.  Every other relation is multiplied only by live monomials:
+when a killer divides the shift it divides every term of the product,
+whose row would be empty.
+
+Nor does a slice build a row that an earlier polynomial's leading monomial
+(LM, its largest packed term) covers -- the syzygy criterion of Faugere's
+F5.  The polynomials are taken sparse first, and m*f_j is skipped when
+LM(f_i) divides m for some earlier f_i.  Writing m = LM(f_i)*m',
+
+    m*f_j = m'*f_j*f_i - m'*tail(f_i)*f_j,
+
+the first part is a combination of rows of f_i, in the span by induction
+over the list of polynomials, and the second a combination of rows of f_j
+at shifts below m, in the span by induction over the shifts.  Dead
+columns and caps only drop terms from these rows, so the span, and every
+rank, is exactly that of all the multiples.
 
 Monomials in a slice are packed integers.  With the field width
 w = bit_length(max(top degree, 1)), the exponent of variable i sits at bit
@@ -195,10 +208,14 @@ class DegreeSpan:
     the echelon small.  Only the live columns are enumerated, as packed
     integers in canonical order, and each other relation is multiplied
     only by the live monomials of the complementary degree (see the module
-    docstring for the encoding and why a product cannot carry).  The full
-    basis is counted, not built; `monomials` lists it on first use.  Extra
-    rows (ideal generators, mapped classes) can be inserted afterwards;
-    ranks always refer to the full column space.
+    docstring for the encoding and why a product cannot carry).  A
+    multiple whose shift the leading monomial of an earlier polynomial
+    divides is skipped: it is a combination of rows already built (the F5
+    criterion, see the module docstring).  The leads stay on the span, so
+    extra generators inserted afterwards (ideal generators) are pruned by
+    the relations' leads too; single rows (mapped classes) can be inserted
+    as well.  The full basis is counted, not built; `monomials` lists it
+    on first use.  Ranks always refer to the full column space.
     """
 
     def __init__(self, p: Presentation, k: int, monomial_cap: int = None):
@@ -218,6 +235,10 @@ class DegreeSpan:
         alive = self._live_of(k)
         self._alive_index = {m: i for i, m in enumerate(alive)}
         self._dead = self._count - len(alive)
+        self._leads = []  # (degree, packed leading monomial), in insertion order
+        self._covered = {}  # shift degree -> (covered live shifts, leads taken in)
+        self._rows_inserted = 0
+        self._products_skipped = 0
         self._ech = Echelon(len(alive))
         self._insert_products(generic)
         self._relation_rank = self._dead + self._ech.rank
@@ -234,6 +255,16 @@ class DegreeSpan:
         order: the columns of the echelon."""
         nvars = len(self.presentation.table)
         return tuple(_unpack(m, nvars, self._width) for m in self._alive_index)
+
+    @property
+    def rows_inserted(self) -> int:
+        """Rows handed to the echelon so far, relation multiples included."""
+        return self._rows_inserted
+
+    @property
+    def products_skipped(self) -> int:
+        """Multiples not built because an earlier lead divides the shift."""
+        return self._products_skipped
 
     def _live_of(self, d: int) -> list:
         live = self._live.get(d)
@@ -259,20 +290,37 @@ class DegreeSpan:
                 coeffs.append(c)
         return cols, coeffs
 
+    def _covered_of(self, e: int) -> set:
+        """Live degree-e shifts divisible by a lead so far.  A divisor of a
+        live monomial is live, so lead * live(e - deg lead) finds them all.
+        Each set takes in only the leads added since it was last asked for."""
+        covered, seen = self._covered.get(e, (set(), 0))
+        for d, lead in self._leads[seen:]:
+            if d <= e:
+                covered.update(lead + q for q in self._live_of(e - d))
+        self._covered[e] = (covered, len(self._leads))
+        return covered
+
     def _insert_products(self, polys):
         rows = []
-        for g in polys:
+        for g in sorted(polys, key=lambda g: len(g.terms)):
             if g.is_zero():
                 continue
             dg = g.homogeneous_degree()
             if dg > self.degree:
                 continue
             terms = self._packed_terms(g)
-            for shift in self._live_of(self.degree - dg):
+            live = self._live_of(self.degree - dg)
+            covered = self._covered_of(self.degree - dg)
+            shifts = [m for m in live if m not in covered]
+            self._products_skipped += len(live) - len(shifts)
+            for shift in shifts:
                 cols, coeffs = self._row(terms, shift)
                 if cols:
                     rows.append((cols, coeffs))
+            self._leads.append((dg, terms[-1][0]))
         rows.sort(key=lambda row: (len(row[0]), row[0], row[1]))
+        self._rows_inserted += len(rows)
         for cols, coeffs in rows:
             self._ech.insert(cols, coeffs)
 
@@ -295,6 +343,7 @@ class DegreeSpan:
         cols, coeffs = self.vector(poly)
         if not cols:
             return False
+        self._rows_inserted += 1
         return self._ech.insert(cols, coeffs)
 
     def reduces_to_zero(self, poly: Poly) -> bool:

@@ -29,7 +29,7 @@ from fmchow.ranks import (
     monomials_of_degree,
     rank_oracle,
 )
-from fmchow.setcomb import LargeFamily
+from fmchow.setcomb import LargeFamily, Weights
 
 F = frozenset
 
@@ -176,6 +176,29 @@ class TestGradedRanks:
             graded_ranks(p, monomial_cap=1000)
         with pytest.raises(SizeCapError, match=message):
             ideal_ranks(p, [], monomial_cap=1000)
+
+    @pytest.mark.parametrize(
+        "dim, weights, expected",
+        [
+            (3, ("1", "1", "1"), [1, 7, 20, 37, 49, 49, 37, 20, 7, 1]),
+            (2, ("1/2", "1/2", "1/2", "1/2"), [1, 9, 28, 51, 62, 51, 28, 9, 1]),
+            (4, ("1", "1/2", "1/2"), [1, 6, 16, 31, 49, 63, 68, 63, 49, 31, 16, 6, 1]),
+        ],
+    )
+    def test_large_slices_agree_with_oracle(self, dim, weights, expected):
+        # the larger slices, where covered multiples are skipped the most
+        n = len(weights)
+        family = LargeFamily.from_weights(Weights.from_strings(weights))
+        p = chow_presentation(ProjectiveGeometry(dim, n), family)
+        assert graded_ranks(p) == rank_oracle(dim, n, family) == expected
+
+    def test_spans_count_rows_and_skipped_multiples(self):
+        # without the criterion, every live multiple gives 5,585 rows
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        spans = [DegreeSpan(p, k) for k in range(p.top_degree + 1)]
+        assert [s.quotient_rank() for s in spans] == [1, 9, 16, 9, 1]
+        assert [s.rows_inserted for s in spans] == [0, 6, 142, 908, 2739]
+        assert any(s.products_skipped > 0 for s in spans)
 
 
 #: top degrees on both sides of each change of the packed field width
@@ -351,6 +374,56 @@ def reference_membership(p, gens, f):
     span = DegreeSpan(p, k)
     span.insert_products(gens)
     return span.reduces_to_zero(f)
+
+
+def dense_multiples(p, polys, k, col):
+    """Rows of every polynomial of degree at most k times every capped
+    monomial of the complementary degree, over the full basis."""
+    rows = []
+    for g in polys:
+        if g.is_zero() or g.homogeneous_degree() > k:
+            continue
+        for shift in monomials_of_degree(p, k - g.homogeneous_degree()):
+            prod = g * Poly.monomial(p.table, shift)
+            rows.append({col[m]: c for m, c in prod.terms.items()})
+    return rows
+
+
+class TestDenseRelations:
+    @settings(deadline=None, max_examples=60)
+    @given(small_presentations(max_vars=3, tops=(0, 1, 3, 4), generic=True), st.data())
+    def test_spans_and_queries_match_dense_reference(self, p, data):
+        # relations of up to six terms and 0-2 generators against every
+        # multiple, ranked by plain Gaussian elimination over Fractions
+        table, top = p.table, p.top_degree
+
+        def form():
+            degree = data.draw(st.integers(1, max(top, 1)))
+            return draw_form(data, table, degree) + draw_form(data, table, degree)
+
+        extra = [form() for _ in range(data.draw(st.integers(0, 3)))]
+        p = Presentation(table, list(p.relations) + extra, top)
+        gens = [form() for _ in range(data.draw(st.integers(0, 2)))]
+        k = data.draw(st.integers(0, top))
+        basis = monomials_of_degree(p, k)
+        col = {m: i for i, m in enumerate(basis)}
+        relation_rows = dense_multiples(p, p.relations, k, col)
+        rows = relation_rows + dense_multiples(p, gens, k, col)
+        rank = dense_rank(rows, len(basis))
+
+        span = DegreeSpan(p, k)
+        assert span.relation_rank() == dense_rank(relation_rows, len(basis))
+        span.insert_products(gens)
+        assert span.span_rank() == rank
+
+        queries = [draw_form(data, table, k)]
+        factors = [g for g in gens + extra if not g.is_zero() and g.homogeneous_degree() <= k]
+        if factors:
+            g = data.draw(st.sampled_from(factors))
+            queries.append(g * draw_form(data, table, k - g.homogeneous_degree()))
+        for f in queries:
+            row = {col[m]: c for m, c in f.terms.items()}
+            assert span.reduces_to_zero(f) == (dense_rank(rows + [row], len(basis)) == rank)
 
 
 class TestBatchedMembership:
