@@ -44,6 +44,7 @@ from fmchow.present import (
 )
 from fmchow.ranks import (
     DegreeSpan,
+    GradedRing,
     graded_ranks,
     ideal_ranks,
     kernel_ranks,
@@ -81,6 +82,7 @@ __all__ = [
     "DegreeError",
     "DegreeSpan",
     "FmchowError",
+    "GradedRing",
     "LargeFamily",
     "MapError",
     "MergeResult",

@@ -161,18 +161,6 @@ class Poly:
             raise DegreeError(f"polynomial is inhomogeneous: {self}")
         return degrees.pop()
 
-    def is_homogeneous(self) -> bool:
-        try:
-            self.homogeneous_degree()
-        except DegreeError:
-            return False
-        return True
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.monomial_degree(e) for e in self.terms)
-
     def _check_table(self, other: "Poly"):
         if self.table is not other.table and self.table != other.table:
             raise StructureError("polynomials live over different variable tables")
@@ -323,13 +311,6 @@ def substitute(poly: Poly, name: str, value: Poly) -> Poly:
         rest = list(exps)
         rest[idx] = 0
         out = out + Poly.monomial(poly.table, tuple(rest), coeff) * powers[e]
-    return out
-
-
-def poly_sum(table: VarTable, polys: Iterable[Poly]) -> Poly:
-    out = Poly.zero(table)
-    for p in polys:
-        out = out + p
     return out
 
 

@@ -15,12 +15,14 @@ A degree slice builds no dead column.  The single-term relations
 already lies in the span, so it is a dead column.  The live columns, the
 standard monomials of that ideal under the variable caps, are enumerated
 directly: the recursion over the variables stops as soon as a killer
-divides the exponents assigned so far.  The full basis is only counted, by
-a small DP over the variables, and the monomial cap refuses on that count
--- all monomials of the degree, live or dead -- before anything is
-enumerated.  Every other relation is multiplied only by live monomials:
-when a killer divides the shift it divides every term of the product,
-whose row would be empty.
+divides the exponents assigned so far.  Every other relation is multiplied
+only by live monomials: when a killer divides the shift it divides every
+term of the product, whose row would be empty.  A `GradedRing` owns the
+slices of one presentation.  It counts the full basis of each degree by a
+small DP over the variables, so the monomial cap refuses on that count --
+all monomials, live or dead -- before anything is built; it packs the
+relations, and enumerates the live monomials of a degree, once for all its
+slices.
 
 Nor does a slice build a row that an earlier polynomial's leading monomial
 (LM, its largest packed term) covers -- the syzygy criterion of Faugere's
@@ -90,9 +92,12 @@ def _exponents(caps, k):
     return out
 
 
-def _check_slice(p: Presentation, k: int):
+def _check_degree(p: Presentation, k: int):
     if not 0 <= k <= p.top_degree:
         raise ValueError(f"degree {k} outside 0..{p.top_degree}")
+
+
+def _check_variables(p: Presentation):
     if any(v.degree != 1 for v in p.table.vars):
         raise ValueError("monomial enumeration supports degree-1 variables only")
 
@@ -100,7 +105,8 @@ def _check_slice(p: Presentation, k: int):
 def monomials_of_degree(p: Presentation, k: int) -> list:
     """All degree-k exponent tuples of the presentation's variables, in
     ascending canonical order."""
-    _check_slice(p, k)
+    _check_variables(p)
+    _check_degree(p, k)
     return sorted(_exponents(p.table.caps(), k), key=_mono_key)
 
 
@@ -118,22 +124,6 @@ def _monomial_counts(caps, top: int) -> list:
                 window -= counts[d - cap]
             new.append(window)
         counts = new
-    return counts
-
-
-def _refuse_over_cap(p: Presentation, degrees, monomial_cap) -> list:
-    """Monomial counts of degrees 0..max(degrees); raises SizeCapError at
-    the first of `degrees` with more monomials, live or dead, than the
-    cap."""
-    _check_slice(p, max(degrees))
-    counts = _monomial_counts(p.table.caps(), max(degrees))
-    if monomial_cap is not None:
-        for k in degrees:
-            if counts[k] > monomial_cap:
-                raise SizeCapError(
-                    f"degree {k} has {counts[k]} monomials, "
-                    f"over the cap of {monomial_cap}"
-                )
     return counts
 
 
@@ -197,42 +187,79 @@ def _live_monomials(caps, killers, k: int, width: int) -> list:
     return out
 
 
+class GradedRing:
+    """The one owner of a presentation's degree slices and of what they share:
+    the monomial counts, made at once for the cap check, then on first use the
+    killers, the other relations packed and each degree's live monomials."""
+
+    def __init__(self, p: Presentation):
+        _check_variables(p)
+        self.presentation = p
+        self._caps = p.table.caps()
+        self.width = _field_width(p.top_degree)
+        self.counts = _monomial_counts(self._caps, p.top_degree)  # live or dead
+        self._live = {}  # degree -> packed live monomials, ascending
+
+    def spans(self, degrees, monomial_cap: int = None):
+        """Raise SizeCapError at the first of `degrees` with more monomials,
+        live or dead, than the cap; otherwise return an iterator that
+        builds `DegreeSpan(self, k)` for each in order, one at a time."""
+        degrees = list(degrees)
+        for k in degrees:
+            if not 0 <= k < len(self.counts):
+                _check_degree(self.presentation, k)  # raises
+            if monomial_cap is not None and self.counts[k] > monomial_cap:
+                raise SizeCapError(
+                    f"degree {k} has {self.counts[k]} monomials, over the cap of {monomial_cap}"
+                )
+        return (DegreeSpan(self, k) for k in degrees)
+
+    @cached_property
+    def _killers(self) -> list:
+        return [next(iter(r.terms)) for r in self.presentation.relations if len(r.terms) == 1]
+
+    @cached_property
+    def packed_relations(self) -> list:
+        """The relations other than killers, as `packed_polys` gives them."""
+        return self.packed_polys(r for r in self.presentation.relations if len(r.terms) > 1)
+
+    def live(self, d: int) -> list:
+        """Packed degree-d monomials that no killer divides, ascending."""
+        if d not in self._live:
+            self._live[d] = _live_monomials(self._caps, self._killers, d, self.width)
+        return self._live[d]
+
+    def packed_terms(self, poly: Poly) -> list:
+        """(packed monomial, coefficient) pairs of a polynomial, ascending."""
+        return sorted((_pack(e, self.width), c) for e, c in poly.terms.items())
+
+    def packed_polys(self, polys) -> list:
+        """(degree, packed terms) of each nonzero polynomial, sparse first
+        (stable); the last term is the leading monomial."""
+        polys = sorted((g for g in polys if not g.is_zero()), key=lambda g: len(g.terms))
+        return [(g.homogeneous_degree(), self.packed_terms(g)) for g in polys]
+
+
 class DegreeSpan:
     """The degree-k slice of a presented ring: its live columns and the
     row span of relation multiples over them, held in an incremental
-    echelon form.
-
-    Single-monomial relations are handled as a column filter (each such
-    relation times a monomial is a unit row, so every monomial divisible
-    by one is dead); this is ordinary elimination done cheaply and keeps
-    the echelon small.  Only the live columns are enumerated, as packed
-    integers in canonical order, and each other relation is multiplied
-    only by the live monomials of the complementary degree (see the module
-    docstring for the encoding and why a product cannot carry).  A
-    multiple whose shift the leading monomial of an earlier polynomial
-    divides is skipped: it is a combination of rows already built (the F5
-    criterion, see the module docstring).  The leads stay on the span, so
-    extra generators inserted afterwards (ideal generators) are pruned by
-    the relations' leads too; single rows (mapped classes) can be inserted
-    as well.  The full basis is counted, not built; `monomials` lists it
-    on first use.  Ranks always refer to the full column space.
+    echelon form; its `GradedRing` owns what the slices share.  Killed
+    monomials are dead columns, and a relation multiple whose shift an
+    earlier lead divides is skipped (the F5 criterion; see the module
+    docstring).  The leads stay on the span, so extra generators inserted
+    afterwards (ideal generators) are pruned by the relations' leads too;
+    single rows (mapped classes) can be inserted as well.  The full basis
+    is counted, not built; `monomials` lists it on first use.  Ranks
+    always refer to the full column space.
     """
 
-    def __init__(self, p: Presentation, k: int, monomial_cap: int = None):
-        self.presentation = p
+    def __init__(self, ring: GradedRing, k: int):
+        self.ring = ring
+        self.presentation = ring.presentation
         self.degree = k
-        self._count = _refuse_over_cap(p, [k], monomial_cap)[k]
-        self._width = _field_width(p.top_degree)
-        killers = []
-        generic = []
-        for rel in p.relations:
-            if len(rel.terms) == 1:
-                killers.append(next(iter(rel.terms)))
-            else:
-                generic.append(rel)
-        self._killers = killers
-        self._live = {}  # degree -> packed live monomials, ascending
-        alive = self._live_of(k)
+        _check_degree(ring.presentation, k)
+        self._count = ring.counts[k]
+        alive = ring.live(k)
         self._alive_index = {m: i for i, m in enumerate(alive)}
         self._dead = self._count - len(alive)
         self._leads = []  # (degree, packed leading monomial), in insertion order
@@ -240,7 +267,7 @@ class DegreeSpan:
         self._rows_inserted = 0
         self._products_skipped = 0
         self._ech = Echelon(len(alive))
-        self._insert_products(generic)
+        self._insert_products(ring.packed_relations)
         self._relation_rank = self._dead + self._ech.rank
 
     @cached_property
@@ -254,7 +281,7 @@ class DegreeSpan:
         """Basis monomials not killed by a single-term relation, in column
         order: the columns of the echelon."""
         nvars = len(self.presentation.table)
-        return tuple(_unpack(m, nvars, self._width) for m in self._alive_index)
+        return tuple(_unpack(m, nvars, self.ring.width) for m in self._alive_index)
 
     @property
     def rows_inserted(self) -> int:
@@ -265,16 +292,6 @@ class DegreeSpan:
     def products_skipped(self) -> int:
         """Multiples not built because an earlier lead divides the shift."""
         return self._products_skipped
-
-    def _live_of(self, d: int) -> list:
-        live = self._live.get(d)
-        if live is None:
-            caps = self.presentation.table.caps()
-            live = self._live[d] = _live_monomials(caps, self._killers, d, self._width)
-        return live
-
-    def _packed_terms(self, poly: Poly) -> list:
-        return sorted((_pack(e, self._width), c) for e, c in poly.terms.items())
 
     def _row(self, terms, shift: int = 0):
         """Coefficient row of packed terms times a packed monomial shift
@@ -297,20 +314,16 @@ class DegreeSpan:
         covered, seen = self._covered.get(e, (set(), 0))
         for d, lead in self._leads[seen:]:
             if d <= e:
-                covered.update(lead + q for q in self._live_of(e - d))
+                covered.update(lead + q for q in self.ring.live(e - d))
         self._covered[e] = (covered, len(self._leads))
         return covered
 
-    def _insert_products(self, polys):
+    def _insert_products(self, packed):
         rows = []
-        for g in sorted(polys, key=lambda g: len(g.terms)):
-            if g.is_zero():
-                continue
-            dg = g.homogeneous_degree()
+        for dg, terms in packed:
             if dg > self.degree:
                 continue
-            terms = self._packed_terms(g)
-            live = self._live_of(self.degree - dg)
+            live = self.ring.live(self.degree - dg)
             covered = self._covered_of(self.degree - dg)
             shifts = [m for m in live if m not in covered]
             self._products_skipped += len(live) - len(shifts)
@@ -331,12 +344,12 @@ class DegreeSpan:
             raise DegreeError(
                 f"expected a homogeneous polynomial of degree {self.degree}"
             )
-        return self._row(self._packed_terms(poly))
+        return self._row(self.ring.packed_terms(poly))
 
     def insert_products(self, gens) -> int:
         """Insert g*m rows for extra generators; returns the rank gain."""
         before = self._ech.rank
-        self._insert_products(gens)
+        self._insert_products(self.ring.packed_polys(gens))
         return self._ech.rank - before
 
     def insert(self, poly: Poly) -> bool:
@@ -362,21 +375,12 @@ class DegreeSpan:
         return self._count - self._relation_rank
 
 
-def _per_degree(p: Presentation, degrees, monomial_cap, answer) -> list:
-    """answer(DegreeSpan(p, k)) for each of `degrees`, in order.  Every
-    degree is checked against the monomial cap before any span is built,
-    and only one span is alive at a time."""
-    degrees = list(degrees)
-    if degrees:
-        _refuse_over_cap(p, degrees, monomial_cap)
-    return [answer(DegreeSpan(p, k)) for k in degrees]
-
-
 def graded_ranks(p: Presentation, monomial_cap: int = None) -> RankTable:
     """Exact rank of each graded piece of the presented quotient, degrees
     0..top_degree.  Every degree is checked against the monomial cap
     before any span is built."""
-    return _per_degree(p, range(p.top_degree + 1), monomial_cap, DegreeSpan.quotient_rank)
+    spans = GradedRing(p).spans(range(p.top_degree + 1), monomial_cap)
+    return list(map(DegreeSpan.quotient_rank, spans))  # map holds one span at a time
 
 
 def memberships(p: Presentation, gens, polys, monomial_cap: int = None) -> list:
@@ -395,17 +399,12 @@ def memberships(p: Presentation, gens, polys, monomial_cap: int = None) -> list:
     answers = [True] * len(polys)
     by_degree = {}
     for i, f in enumerate(polys):
-        if not f.is_zero():
-            k = f.homogeneous_degree()
-            if k <= p.top_degree:
-                by_degree.setdefault(k, []).append(i)
-
-    def answer(span):
+        if not f.is_zero() and (k := f.homogeneous_degree()) <= p.top_degree:
+            by_degree.setdefault(k, []).append(i)
+    for span in GradedRing(p).spans(sorted(by_degree), monomial_cap):
         span.insert_products(gens)
         for i in by_degree[span.degree]:
             answers[i] = span.reduces_to_zero(polys[i])
-
-    _per_degree(p, sorted(by_degree), monomial_cap, answer)
     return answers
 
 
@@ -419,8 +418,9 @@ def ideal_ranks(p: Presentation, gens, monomial_cap: int = None) -> RankTable:
     """Per-degree rank of the ideal generated by `gens` inside the
     presented quotient ring.  Every degree is checked against the monomial
     cap before any span is built."""
-    degrees = range(p.top_degree + 1)
-    return _per_degree(p, degrees, monomial_cap, lambda span: span.insert_products(gens))
+    gens = list(gens)
+    spans = GradedRing(p).spans(range(p.top_degree + 1), monomial_cap)
+    return [span.insert_products(gens) for span in spans]
 
 
 def map_poly(poly: Poly, images: dict, target: Presentation) -> Poly:
@@ -447,12 +447,13 @@ def kernel_ranks(
     variable to the given degree-1 target class.
 
     The map must be well defined: every source relation has to land in
-    the target ideal (rational membership; checked, MapError otherwise).
-    Kernel rank at degree k is source quotient rank minus the rank of the
-    image of the source basis monomials in the target quotient.  Degrees
-    above the target's top degree have zero image.  Every degree a span is
-    built for, source and target, is checked against the monomial cap
-    before the first span.
+    the target ideal (rational membership; checked, MapError naming the
+    first relation in order that does not).  Kernel rank at degree k is
+    source quotient rank minus the rank of the image of the source basis
+    monomials in the target quotient.  Degrees above the target's top
+    degree have zero image.  Every degree a span is built for, source and
+    target, is checked against the monomial cap before the first span;
+    the target span of a degree answers its relations before the images.
     """
     for name in p_source.table.names():
         img = var_images.get(name)
@@ -460,39 +461,35 @@ def kernel_ranks(
             raise MapError(f"no image given for variable {name!r}")
         if not img.is_zero() and img.homogeneous_degree() != 1:
             raise DegreeError(f"image of {name!r} must be homogeneous of degree 1")
-    source_degrees = range(p_source.top_degree + 1)
-    _refuse_over_cap(p_source, source_degrees, monomial_cap)
-    shared = range(min(p_source.top_degree, p_target.top_degree) + 1)
-    _refuse_over_cap(p_target, shared, monomial_cap)
-    # `memberships` checks the degrees of its queries before its first span
-    mapped = [map_poly(rel, var_images, p_target) for rel in p_source.relations]
-    for rel, member in zip(
-        p_source.relations, memberships(p_target, [], mapped, monomial_cap)
-    ):
-        if not member:
-            raise MapError(
-                f"map is not well defined: relation {rel} does not map into "
-                "the target ideal",
-                offending=rel,
-            )
+    source_top, target_top = p_source.top_degree, p_target.top_degree
+    # a relation above the source's top degree is checked in a target span too
+    top = max([source_top] + [rel.homogeneous_degree() for rel in p_source.relations])
+    sources = GradedRing(p_source).spans(range(source_top + 1), monomial_cap)
+    targets = GradedRing(p_target).spans(range(min(top, target_top) + 1), monomial_cap)
+    mapped = {}
+    for rel in p_source.relations:
+        image = map_poly(rel, var_images, p_target)
+        if not image.is_zero():
+            mapped.setdefault(image.homogeneous_degree(), []).append((rel, image))
     out = []
-    for k in source_degrees:
-        src_span = DegreeSpan(p_source, k)
-        src_rank = src_span.quotient_rank()
-        if k > p_target.top_degree:
-            out.append(src_rank)
+    for tgt_span in targets:  # ascending: the first relation outside is first in order
+        for rel, f in mapped.get(tgt_span.degree, ()):
+            if not tgt_span.reduces_to_zero(f):
+                raise MapError(
+                    f"map is not well defined: relation {rel} does not map into "
+                    "the target ideal",
+                    offending=rel,
+                )
+        if tgt_span.degree > source_top:
             continue
-        tgt_span = DegreeSpan(p_target, k)
-        image = 0
+        src_span = next(sources)
         # dead monomials are zero in the source quotient and contribute nothing
-        for m in src_span.alive_monomials:
-            img = map_poly(
-                Poly.monomial(p_source.table, m), var_images, p_target
-            )
-            if not img.is_zero() and tgt_span.insert(img):
-                image += 1
-        out.append(src_rank - image)
-    return out
+        image = sum(
+            tgt_span.insert(map_poly(Poly.monomial(p_source.table, m), var_images, p_target))
+            for m in src_span.alive_monomials
+        )
+        out.append(src_span.quotient_rank() - image)
+    return out + [span.quotient_rank() for span in sources]
 
 
 def _binomial_product(dim: int, n: int) -> list:

@@ -14,9 +14,9 @@ Scenarios:
   kernel <h^3, h*E> is confirmed against the computed kernel ranks.
 * equivalence -- at all-ones weights the full presentation and the
   simplified pairwise presentation have the same graded ranks, and each
-  relation family lies in the other's ideal degree by degree.  The
-  membership queries of one direction are answered in one batch: the
-  queries of a degree share one span of the other side's relations.
+  relation family lies in the other's ideal degree by degree.  One pass
+  per side: the span of a degree gives its rank and answers the other
+  side's relations of that degree.
 * construction -- graded ranks of the direct presentation, of the
   iterated one-blow-up-at-a-time presentation, and of the combinatorial
   rank oracle all agree; optionally over every admissible walk.
@@ -37,11 +37,11 @@ from fmchow.present import (
     simplified_presentation,
 )
 from fmchow.ranks import (
+    GradedRing,
     graded_ranks,
     ideal_ranks,
     kernel_ranks,
     membership,
-    memberships,
     rank_oracle,
 )
 from fmchow.setcomb import LargeFamily, all_walks, canonical_walk
@@ -140,11 +140,17 @@ def check_counterexample(monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> VerdictRep
     )
 
 
-def _outside_ideal(polys, p: Presentation, monomial_cap) -> list:
-    """The polynomials, as strings and in order, that are not rational
-    members of the relation ideal of p."""
-    answers = memberships(p, [], polys, monomial_cap)
-    return [str(f) for f, member in zip(polys, answers) if not member]
+def _ranks_and_outside(p: Presentation, queries, monomial_cap) -> tuple:
+    """Graded ranks of p and, as strings in order, the queries (relations,
+    so in degree order) outside its relation ideal, from one span a degree."""
+    by_degree = {}
+    for f in queries:
+        by_degree.setdefault(f.homogeneous_degree(), []).append(f)
+    ranks, outside = [], []
+    for span in GradedRing(p).spans(range(p.top_degree + 1), monomial_cap):
+        ranks.append(span.quotient_rank())
+        outside += [str(f) for f in by_degree.get(span.degree, ()) if not span.reduces_to_zero(f)]
+    return ranks, outside
 
 
 def check_equivalence(
@@ -157,11 +163,8 @@ def check_equivalence(
     large = LargeFamily.all_subsets(n)
     full = chow_presentation(geom, large)
     simple = simplified_presentation(geom)
-    ranks_full = graded_ranks(full, monomial_cap)
-    ranks_simple = graded_ranks(simple, monomial_cap)
-
-    missing_in_simple = _outside_ideal(full.relations, simple, monomial_cap)
-    missing_in_full = _outside_ideal(simple.relations, full, monomial_cap)
+    ranks_full, missing_in_full = _ranks_and_outside(full, simple.relations, monomial_cap)
+    ranks_simple, missing_in_simple = _ranks_and_outside(simple, full.relations, monomial_cap)
     passed = (
         ranks_full == ranks_simple
         and not missing_in_simple

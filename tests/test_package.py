@@ -18,3 +18,9 @@ def test_star_import_exports_batched_membership():
     namespace = {}
     exec("from fmchow import *", namespace)
     assert namespace["memberships"] is fmchow.ranks.memberships
+
+
+def test_star_import_exports_the_ring_owner():
+    namespace = {}
+    exec("from fmchow import *", namespace)
+    assert namespace["GradedRing"] is fmchow.ranks.GradedRing

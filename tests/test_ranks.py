@@ -15,6 +15,7 @@ from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable, _mono_k
 from fmchow.present import blowup_step, chow_presentation
 from fmchow.ranks import (
     DegreeSpan,
+    GradedRing,
     _field_width,
     _live_monomials,
     _monomial_counts,
@@ -150,14 +151,14 @@ class TestGradedRanks:
 
     def test_degree_span_reports_quotient(self):
         p, _, _ = blown_up_p3()
-        span = DegreeSpan(p, 2)
+        span = DegreeSpan(GradedRing(p), 2)
         assert len(span.monomials) == 3
         assert span.quotient_rank() == 2
 
     def test_alive_monomials_are_the_unkilled_columns_in_order(self):
         p, _, _ = blown_up_p3()
         # the single-term relation h^2*E kills its own column
-        span = DegreeSpan(p, 3)
+        span = DegreeSpan(GradedRing(p), 3)
         assert span.monomials == [(3, 0), (2, 1), (1, 2), (0, 3)]
         assert span.alive_monomials == ((3, 0), (1, 2), (0, 3))
         assert span.quotient_rank() == 1
@@ -177,6 +178,20 @@ class TestGradedRanks:
         with pytest.raises(SizeCapError, match=message):
             ideal_ranks(p, [], monomial_cap=1000)
 
+    def test_refusal_comes_before_any_packing_or_enumeration(self, monkeypatch):
+        # the ring counts at once and packs and enumerates only on first use
+        p = chow_presentation(ProjectiveGeometry(1, 5), LargeFamily.all_subsets(5))
+
+        def not_yet(*args):
+            raise AssertionError("the ring did work before the cap refusal")
+
+        monkeypatch.setattr(fmchow.ranks, "_pack", not_yet)
+        monkeypatch.setattr(fmchow.ranks, "_live_monomials", not_yet)
+        with pytest.raises(SizeCapError, match="degree 3 has 5301 monomials"):
+            graded_ranks(p, monomial_cap=1000)
+        with pytest.raises(SizeCapError, match="degree 3 has 5301 monomials"):
+            memberships(p, [], p.relations, monomial_cap=1000)
+
     @pytest.mark.parametrize(
         "dim, weights, expected",
         [
@@ -195,10 +210,25 @@ class TestGradedRanks:
     def test_spans_count_rows_and_skipped_multiples(self):
         # without the criterion, every live multiple gives 5,585 rows
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
-        spans = [DegreeSpan(p, k) for k in range(p.top_degree + 1)]
+        spans = [DegreeSpan(GradedRing(p), k) for k in range(p.top_degree + 1)]
         assert [s.quotient_rank() for s in spans] == [1, 9, 16, 9, 1]
         assert [s.rows_inserted for s in spans] == [0, 6, 142, 908, 2739]
         assert any(s.products_skipped > 0 for s in spans)
+
+    def test_live_monomials_are_enumerated_once_per_slice(self, monkeypatch):
+        # the spans of one ring share each degree's live monomials, as
+        # slices and as shifts of lower-degree relations
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        calls = []
+        enumerate_live = fmchow.ranks._live_monomials
+
+        def counting(caps, killers, k, width):
+            calls.append(k)
+            return enumerate_live(caps, killers, k, width)
+
+        monkeypatch.setattr(fmchow.ranks, "_live_monomials", counting)
+        assert graded_ranks(p) == [1, 9, 16, 9, 1]
+        assert sorted(calls) == [0, 1, 2, 3, 4]
 
 
 #: top degrees on both sides of each change of the packed field width
@@ -266,7 +296,7 @@ class TestLiveColumns:
         assert packed == sorted(set(packed))
         live = [_unpack(m, len(p.table), width) for m in packed]
         assert live == reference_live(p, k)
-        assert DegreeSpan(p, k).alive_monomials == tuple(live)
+        assert DegreeSpan(GradedRing(p), k).alive_monomials == tuple(live)
 
     @given(st.sampled_from(TOP_DEGREES), st.integers(1, 5), st.data())
     def test_packing_round_trips_orders_and_never_carries(self, top, nvars, data):
@@ -301,7 +331,7 @@ class TestLiveColumns:
             for shift in monomials_of_degree(p, k - d):
                 prod = rel * Poly.monomial(p.table, shift)
                 rows.append({col[m]: c for m, c in prod.terms.items()})
-        span = DegreeSpan(p, k)
+        span = DegreeSpan(GradedRing(p), k)
         assert span.quotient_rank() == len(basis) - dense_rank(rows, len(basis))
         assert span.monomials == basis
 
@@ -309,10 +339,10 @@ class TestLiveColumns:
     def test_degree_span_rejects_bad_slices(self, p):
         for k in (-1, p.top_degree + 1):
             with pytest.raises(ValueError):
-                DegreeSpan(p, k)
+                DegreeSpan(GradedRing(p), k)
         graded = VarTable(p.table.vars + (Var("y", 2, None),))
         with pytest.raises(ValueError):
-            DegreeSpan(Presentation(graded, [], p.top_degree), 0)
+            DegreeSpan(GradedRing(Presentation(graded, [], p.top_degree)), 0)
 
 
 class TestMembership:
@@ -371,7 +401,7 @@ def reference_membership(p, gens, f):
     k = f.homogeneous_degree()
     if k > p.top_degree:
         return True
-    span = DegreeSpan(p, k)
+    span = DegreeSpan(GradedRing(p), k)
     span.insert_products(gens)
     return span.reduces_to_zero(f)
 
@@ -411,7 +441,7 @@ class TestDenseRelations:
         rows = relation_rows + dense_multiples(p, gens, k, col)
         rank = dense_rank(rows, len(basis))
 
-        span = DegreeSpan(p, k)
+        span = DegreeSpan(GradedRing(p), k)
         assert span.relation_rank() == dense_rank(relation_rows, len(basis))
         span.insert_products(gens)
         assert span.span_rank() == rank
@@ -494,6 +524,38 @@ class TestIdealAndKernelRanks:
         kern = kernel_ranks(p, target, {"h": hh, "E": ee})
         assert kern == [0, 0, 1, 1]
         assert kern == ideal_ranks(p, [h * h * h, h * e])
+
+    def test_restriction_builds_one_span_per_presentation_and_degree(self, monkeypatch):
+        # the target span of each degree answers the well-definedness
+        # queries and then takes the images: 4 source + 3 target spans
+        p, h, e = blown_up_p3()
+        table = VarTable((Var("h", 1, 3), Var("E", 1, None)))
+        hh, ee = Poly.variable(table, "h"), Poly.variable(table, "E")
+        target = Presentation(table, [hh * ee, ee * ee + hh * hh], 2)
+        built = []
+        init = DegreeSpan.__init__
+
+        def counting_init(self, ring, k):
+            built.append((ring.presentation.top_degree, k))
+            init(self, ring, k)
+
+        monkeypatch.setattr(DegreeSpan, "__init__", counting_init)
+        assert kernel_ranks(p, target, {"h": hh, "E": ee}) == [0, 0, 1, 1]
+        assert sorted(built) == [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
+
+    def test_ill_defined_map_names_the_first_relation_outside(self):
+        p, h, e = blown_up_p3()
+        table = VarTable((Var("h", 1, 3), Var("E", 1, None)))
+        hh, ee = Poly.variable(table, "h"), Poly.variable(table, "E")
+        target = Presentation(table, [hh * ee, ee * ee + hh * hh], 2)
+        with pytest.raises(MapError) as exc_info:
+            kernel_ranks(p, target, {"h": hh, "E": Poly.zero(table)})
+        # E^2 - 2hE + h^2 maps to h^2, outside the target ideal; h^2*E maps to 0
+        assert exc_info.value.offending == e * e - 2 * h * e + h * h
+
+    def test_ideal_generators_may_be_an_iterator(self):
+        p, h, e = blown_up_p3()
+        assert ideal_ranks(p, iter([h * h * h, h * e])) == [0, 0, 1, 1]
 
     def test_ill_defined_map_reports_relation(self):
         p, h, e = blown_up_p3()
