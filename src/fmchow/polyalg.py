@@ -8,6 +8,24 @@ no cap.  Every value is immutable after construction; normalization --
 dropping zero coefficients and monomials that violate a cap -- is the only
 place terms disappear.
 
+Monomials are packed integers, one encoding from the presentation build
+to elimination.  A field of w = 16 bits per variable holds its exponent,
+variable i at bit i*w, so ascending integer order is the canonical basis
+order (`_mono_key`, later variables most significant), and the product of
+two monomials is one integer addition.  The top bit of each field is a
+guard bit.  A table of n variables bounds every exponent by its
+`max_exponent`, the largest E below 2**(w-1) with n*E < 2**w - 1, so that
+the exponent sum of a product never carries from one field into the next,
+and the degree of a monomial in degree-1 variables is its packed value
+modulo 2**w - 1.  The table adds one constant to a product monomial that
+sets the guard bit of exactly the fields at or over their cap (the
+exponent bound plus one for an uncapped variable), so the cap test is one
+add-and-mask: a capped field there dies, an uncapped one there is an
+exponent too large for its field and raises StructureError instead of
+wrapping.  Negative or non-integer exponents, and a table whose cap the
+field cannot hold, raise StructureError too.  `Poly.terms`, the exponent
+tuple view, is unpacked on demand.
+
 Canonical text form: terms are joined by " + " / " - " in descending
 order of the monomial key that ranks later variables (divisor variables)
 highest, a term is `coefficient*factors` with unit coefficients omitted,
@@ -17,9 +35,13 @@ and a factor prints as `h3^2` or `D{1,3}`.  Example: `E^2 - 2*h*E + h^2`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Mapping, Optional, Sequence
 
 from fmchow.errors import DegreeError, StructureError
+
+#: bits per variable in a packed monomial, the top one a guard bit
+FIELD_BITS = 16
 
 
 def divisor_name(s) -> str:
@@ -43,9 +65,11 @@ class Var:
             raise ValueError("variable cap must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarTable:
-    """An ordered tuple of distinct variables."""
+    """An ordered tuple of distinct variables, and the packed encoding of
+    monomials over them (see the module docstring).  Tables compare and
+    hash by a plain tuple of (name, degree, cap), made once."""
 
     vars: tuple
 
@@ -53,12 +77,51 @@ class VarTable:
         names = [v.name for v in self.vars]
         if len(set(names)) != len(names):
             raise StructureError("duplicate variable names")
-        object.__setattr__(self, "_index", {v.name: i for i, v in enumerate(self.vars)})
+        w = FIELD_BITS
+        half = 1 << (w - 1)
+        bound = min(half - 1, ((1 << w) - 2) // max(len(self.vars), 1))
+        bias = guard = overflow = 0
+        for i, v in enumerate(self.vars):
+            if v.cap is not None and v.cap - 1 > bound:
+                raise StructureError(
+                    f"cap {v.cap} of {v.name!r} is over the packed field's exponent bound {bound}"
+                )
+            bit = 1 << (i * w + w - 1)
+            bias += (half - (bound + 1 if v.cap is None else v.cap)) << (i * w)
+            guard |= bit
+            if v.cap is None:
+                overflow |= bit
+        key = tuple((v.name, v.degree, v.cap) for v in self.vars)
+        for name, value in (
+            ("_index", {v.name: i for i, v in enumerate(self.vars)}),
+            ("_names", tuple(names)),
+            ("_key", key),
+            ("_hash", hash(key)),
+            ("_caps", tuple(v.cap for v in self.vars)),
+            ("_shifts", tuple(range(0, len(self.vars) * w, w))),
+            ("_unit_degrees", all(v.degree == 1 for v in self.vars)),
+            ("max_exponent", bound),
+            ("_bias", bias),
+            ("_guard", guard),
+            ("_overflow", overflow),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def width(self) -> int:
+        """Bits per variable in a packed monomial."""
+        return FIELD_BITS
 
     @classmethod
     def for_points(cls, n: int, dim: int, prefix: str = "h") -> "VarTable":
         """h_1..h_n, each killed in power dim+1 (the Chow ring of (P^dim)^n)."""
         return cls(tuple(Var(f"{prefix}{i}", 1, dim + 1) for i in range(1, n + 1)))
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, VarTable) and self._key == other._key)
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.vars)
@@ -73,15 +136,47 @@ class VarTable:
         return name in self._index
 
     def names(self) -> tuple:
-        return tuple(v.name for v in self.vars)
+        return self._names
 
     def caps(self) -> tuple:
-        return tuple(v.cap for v in self.vars)
+        return self._caps
 
     def extended(self, var: Var) -> "VarTable":
         if var.name in self:
             raise StructureError(f"variable {var.name!r} already present")
         return VarTable(self.vars + (var,))
+
+    def pack(self, exps) -> Optional[int]:
+        """The packed monomial of an exponent tuple, or None when a cap
+        kills it.  Raises StructureError on a tuple of the wrong length, a
+        negative or non-integer exponent, or an uncapped exponent over
+        `max_exponent`."""
+        if len(exps) != len(self.vars):
+            raise StructureError("exponent tuple has wrong length")
+        packed = 0
+        dead = False
+        for e, cap, shift in zip(exps, self._caps, self._shifts):
+            try:
+                e = index(e)
+            except TypeError:
+                raise StructureError(f"exponent {e!r} is not an integer") from None
+            if e < 0:
+                raise StructureError(f"exponent {e} is negative")
+            if cap is None:
+                if e > self.max_exponent:
+                    raise StructureError(self._too_large())
+            elif e >= cap:
+                dead = True
+            packed |= e << shift
+        return None if dead else packed
+
+    def unpack(self, packed: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        mask = (1 << FIELD_BITS) - 1
+        return tuple((packed >> shift) & mask for shift in self._shifts)
+
+    def _too_large(self) -> str:
+        return f"an uncapped exponent is over the packed field's bound {self.max_exponent}"
 
 
 def _mono_key(exps):
@@ -93,51 +188,65 @@ def _mono_key(exps):
 class Poly:
     """An exact-integer polynomial over a fixed VarTable.
 
-    Internally a map from exponent tuples to nonzero coefficients; the
-    constructor normalizes (caps applied, zeros dropped).  Instances are
-    immutable; arithmetic returns new objects.
+    Internally `packed`, a map from packed monomials to nonzero
+    coefficients (read it, never change it).  The constructor takes
+    exponent tuples and normalizes (caps applied, zeros dropped);
+    arithmetic builds its results normalized.  Instances are immutable;
+    arithmetic returns new objects.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "packed")
 
     def __init__(self, table: VarTable, terms: Mapping):
-        caps = table.caps()
-        nvars = len(table)
-        clean = {}
+        packed = {}
         for exps, coeff in terms.items():
             if coeff == 0:
                 continue
-            if len(exps) != nvars:
-                raise StructureError("exponent tuple has wrong length")
-            if any(c is not None and e >= c for e, c in zip(exps, caps)):
+            m = table.pack(exps)
+            if m is None:
                 continue  # monomial dies on a nilpotency cap
-            exps = tuple(exps)
-            acc = clean.get(exps, 0) + coeff
+            acc = packed.get(m, 0) + coeff
             if acc:
-                clean[exps] = acc
-            elif exps in clean:
-                del clean[exps]
+                packed[m] = acc
+            else:
+                del packed[m]
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "packed", packed)
+
+    @classmethod
+    def _of(cls, table: VarTable, packed: dict) -> "Poly":
+        # packed terms that are already normalized
+        self = object.__new__(cls)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "packed", packed)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> nonzero coefficient, unpacked on each call."""
+        unpack = self.table.unpack
+        return {unpack(m): c for m, c in self.packed.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, table: VarTable) -> "Poly":
-        return cls(table, {})
+        return cls._of(table, {})
 
     @classmethod
     def constant(cls, table: VarTable, c: int) -> "Poly":
-        return cls(table, {(0,) * len(table): int(c)})
+        c = int(c)
+        return cls._of(table, {0: c} if c else {})
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Poly":
-        exps = [0] * len(table)
-        exps[table.index(name)] = 1
-        return cls(table, {tuple(exps): 1})
+        i = table.index(name)
+        if table.vars[i].cap == 1:
+            return cls._of(table, {})
+        return cls._of(table, {1 << (i * FIELD_BITS): 1})
 
     @classmethod
     def monomial(cls, table: VarTable, exps, coeff: int = 1) -> "Poly":
@@ -146,7 +255,7 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def monomial_degree(self, exps) -> int:
         degs = self.table.vars
@@ -154,7 +263,12 @@ class Poly:
 
     def homogeneous_degree(self) -> Optional[int]:
         """Total degree if homogeneous (None for the zero polynomial)."""
-        degrees = {self.monomial_degree(e) for e in self.terms}
+        if self.table._unit_degrees:
+            modulus = (1 << FIELD_BITS) - 1
+            degrees = {m % modulus for m in self.packed}
+        else:
+            unpack = self.table.unpack
+            degrees = {self.monomial_degree(unpack(m)) for m in self.packed}
         if not degrees:
             return None
         if len(degrees) > 1:
@@ -171,19 +285,19 @@ class Poly:
         if isinstance(other, int):
             other = Poly.constant(self.table, other)
         self._check_table(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, 0) + coeff
+        terms = dict(self.packed)
+        for m, coeff in other.packed.items():
+            acc = terms.get(m, 0) + coeff
             if acc:
-                terms[exps] = acc
-            elif exps in terms:
-                del terms[exps]
-        return Poly(self.table, terms)
+                terms[m] = acc
+            else:
+                del terms[m]
+        return Poly._of(self.table, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.table, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.table, {m: -c for m, c in self.packed.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -194,22 +308,28 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        table = self.table
         if isinstance(other, int):
-            return Poly(self.table, {e: other * c for e, c in self.terms.items()})
+            if not other:
+                return Poly._of(table, {})
+            return Poly._of(table, {m: other * c for m, c in self.packed.items()})
         self._check_table(other)
-        caps = self.table.caps()
+        bias, guard = table._bias, table._guard
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if any(c is not None and e >= c for e, c in zip(exps, caps)):
-                    continue
-                acc = out.get(exps, 0) + c1 * c2
+        for m1, c1 in self.packed.items():
+            for m2, c2 in other.packed.items():
+                m = m1 + m2
+                over = (m + bias) & guard
+                if over:
+                    if over & table._overflow:
+                        raise StructureError(table._too_large())
+                    continue  # monomial dies on a nilpotency cap
+                acc = out.get(m, 0) + c1 * c2
                 if acc:
-                    out[exps] = acc
-                elif exps in out:
-                    del out[exps]
-        return Poly(self.table, out)
+                    out[m] = acc
+                else:
+                    del out[m]
+        return Poly._of(table, out)
 
     __rmul__ = __mul__
 
@@ -225,25 +345,26 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.table == other.table
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.table, frozenset(self.terms.items())))
+        return hash((self.table, frozenset(self.packed.items())))
 
     # -- canonical form ----------------------------------------------------
 
     def sorted_terms(self) -> list:
-        """Terms in canonical (printing) order."""
-        return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
+        """(exponent tuple, coefficient) terms in canonical (printing) order."""
+        unpack = self.table.unpack
+        return [(unpack(m), c) for m, c in sorted(self.packed.items(), reverse=True)]
 
     def canonical_key(self):
-        return tuple((_mono_key(e), c) for e, c in self.sorted_terms())
+        """The packed terms in canonical order; equal keys, equal polynomials."""
+        return tuple(sorted(self.packed.items(), reverse=True))
 
     def sign_normalized(self) -> "Poly":
         """Same polynomial up to sign, with positive leading coefficient."""
-        terms = self.sorted_terms()
-        if terms and terms[0][1] < 0:
+        if self.packed and self.packed[max(self.packed)] < 0:
             return -self
         return self
 
@@ -281,21 +402,44 @@ def transport(poly: Poly, table: VarTable, rename: Optional[Mapping] = None) -> 
     """Re-express a polynomial over another table, matching variables by
     name (optionally renamed first).  Every used variable must exist in the
     target; the target's caps are applied."""
+    src = poly.table
+    w = FIELD_BITS
+    mask = (1 << w) - 1
+    bias, guard = table._bias, table._guard
+    support = 0
+    for m in poly.packed:
+        support |= m
+    if not rename and table._names[: len(src)] == src._names and not (support + bias) & guard:
+        # same variables in the same fields, and no field of the support (at
+        # least that field of every term) reaches the target's cap or bound
+        return Poly._of(table, poly.packed)
     rename = rename or {}
-    src_names = poly.table.names()
-    pos = {}  # resolved lazily: only variables that actually occur
-    nvars = len(table)
+    # (source shift, target shift) of the variables that actually occur
+    moves = [
+        (a, table.index(rename.get(name, name)) * w)
+        for name, a in zip(src._names, src._shifts)
+        if (support >> a) & mask
+    ]
     out = {}
-    for exps, coeff in poly.terms.items():
-        new = [0] * nvars
-        for i, e in enumerate(exps):
-            if e:
-                if i not in pos:
-                    pos[i] = table.index(rename.get(src_names[i], src_names[i]))
-                new[pos[i]] += e
-        key = tuple(new)
-        out[key] = out.get(key, 0) + coeff
-    return Poly(table, out)
+    for m, coeff in poly.packed.items():
+        # one variable at a time, as a product of valid monomials: renamed
+        # variables may land on one field
+        new = over = 0
+        for a, b in moves:
+            new += ((m >> a) & mask) << b
+            over = (new + bias) & guard
+            if over:
+                break
+        if over:
+            if over & table._overflow:
+                raise StructureError(table._too_large())
+            continue  # monomial dies on a cap of the target
+        acc = out.get(new, 0) + coeff
+        if acc:
+            out[new] = acc
+        else:
+            del out[new]
+    return Poly._of(table, out)
 
 
 def substitute(poly: Poly, name: str, value: Poly) -> Poly:
@@ -443,12 +587,10 @@ class Presentation:
                 raise StructureError("relation over a different variable table")
             if rel.is_zero():
                 continue
-            rel.homogeneous_degree()  # raises DegreeError if inhomogeneous
+            degree = rel.homogeneous_degree()  # raises DegreeError if inhomogeneous
             rel = rel.sign_normalized()
-            seen[rel.canonical_key()] = rel
-        ordered = sorted(
-            seen.values(), key=lambda r: (r.homogeneous_degree(), r.canonical_key())
-        )
+            seen[degree, rel.canonical_key()] = rel
+        ordered = [seen[key] for key in sorted(seen)]
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "relations", tuple(ordered))
         object.__setattr__(self, "top_degree", top_degree)

@@ -20,9 +20,10 @@ only by live monomials: when a killer divides the shift it divides every
 term of the product, whose row would be empty.  A `GradedRing` owns the
 slices of one presentation.  It counts the full basis of each degree by a
 small DP over the variables, so the monomial cap refuses on that count --
-all monomials, live or dead -- before anything is built; it packs the
+all monomials, live or dead -- before anything is built; it sorts the
 relations, and enumerates the live monomials of a degree, once for all its
-slices.
+slices.  Every query walks the spans of a ring through `map`, so one span
+of a ring is alive at a time.
 
 Nor does a slice build a row that an earlier polynomial's leading monomial
 (LM, its largest packed term) covers -- the syzygy criterion of Faugere's
@@ -37,15 +38,15 @@ at shifts below m, in the span by induction over the shifts.  Dead
 columns and caps only drop terms from these rows, so the span, and every
 rank, is exactly that of all the multiples.
 
-Monomials in a slice are packed integers.  With the field width
-w = bit_length(max(top degree, 1)), the exponent of variable i sits at bit
-i*w.  Every exponent of a monomial of degree at most the top degree is at
-most the top degree, hence below 2**w, so the product of two monomials
-whose degrees add up to at most the top degree is one integer addition
-that never carries from one field into the next.  Ascending integer order
-is the canonical basis order (`_mono_key`, later variables most
-significant).  A product term over a variable cap, or on a dead column, is
-absent from the index of live columns and is dropped there.
+Monomials in a slice are the packed integers of `Poly` itself, so a
+relation's terms go into rows as they are.  The field width comes from the
+variable table (see `fmchow.polyalg`): the exponent of variable i sits at
+bit i*w, and ascending integer order is the canonical basis order.  A ring
+refuses a top degree of 2**w or more; below it every exponent of a degree-k
+monomial is at most k < 2**w, so the product of a relation term and a shift
+whose degrees add up to k is one integer addition that never carries from
+one field into the next.  A product term over a variable cap, or on a dead
+column, is absent from the index of live columns and is dropped there.
 
 The oracle (`rank_oracle`) never touches polynomials: it walks the large
 family superset-first and applies the additive rank decomposition of a
@@ -60,36 +61,11 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from fmchow._elim import Echelon
-from fmchow.errors import DegreeError, MapError, SizeCapError
-from fmchow.polyalg import Poly, Presentation, _mono_key
+from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
+from fmchow.polyalg import Poly, Presentation
 from fmchow.setcomb import LargeFamily, canonical_walk, merge_family
 
 RankTable = list
-
-
-def _exponents(caps, k):
-    """All exponent tuples of total degree k respecting per-variable caps
-    (cap = smallest vanishing power, None = unbounded); degree-1 variables
-    only."""
-    nvars = len(caps)
-    out = []
-    exps = [0] * nvars
-
-    def rec(i, remaining):
-        if i == nvars - 1:
-            if caps[i] is None or remaining < caps[i]:
-                exps[i] = remaining
-                out.append(tuple(exps))
-                exps[i] = 0
-            return
-        top = remaining if caps[i] is None else min(remaining, caps[i] - 1)
-        for e in range(top + 1):
-            exps[i] = e
-            rec(i + 1, remaining - e)
-        exps[i] = 0
-
-    rec(0, k)
-    return out
 
 
 def _check_degree(p: Presentation, k: int):
@@ -107,7 +83,8 @@ def monomials_of_degree(p: Presentation, k: int) -> list:
     ascending canonical order."""
     _check_variables(p)
     _check_degree(p, k)
-    return sorted(_exponents(p.table.caps(), k), key=_mono_key)
+    table = p.table
+    return [table.unpack(m) for m in _live_monomials(table.caps(), (), k, table.width)]
 
 
 def _monomial_counts(caps, top: int) -> list:
@@ -125,22 +102,6 @@ def _monomial_counts(caps, top: int) -> list:
             new.append(window)
         counts = new
     return counts
-
-
-def _field_width(top_degree: int) -> int:
-    return max(top_degree, 1).bit_length()
-
-
-def _pack(exps, width: int) -> int:
-    packed = 0
-    for i, e in enumerate(exps):
-        packed |= e << (i * width)
-    return packed
-
-
-def _unpack(packed: int, nvars: int, width: int) -> tuple:
-    mask = (1 << width) - 1
-    return tuple((packed >> (i * width)) & mask for i in range(nvars))
 
 
 def _live_monomials(caps, killers, k: int, width: int) -> list:
@@ -190,13 +151,18 @@ def _live_monomials(caps, killers, k: int, width: int) -> list:
 class GradedRing:
     """The one owner of a presentation's degree slices and of what they share:
     the monomial counts, made at once for the cap check, then on first use the
-    killers, the other relations packed and each degree's live monomials."""
+    killers, the other relations' packed terms and each degree's live
+    monomials.  Packed monomials are those of the presentation's table."""
 
     def __init__(self, p: Presentation):
         _check_variables(p)
         self.presentation = p
         self._caps = p.table.caps()
-        self.width = _field_width(p.top_degree)
+        self.width = p.table.width
+        if p.top_degree >> self.width:
+            raise StructureError(
+                f"top degree {p.top_degree} does not fit the packed field of {self.width} bits"
+            )
         self.counts = _monomial_counts(self._caps, p.top_degree)  # live or dead
         self._live = {}  # degree -> packed live monomials, ascending
 
@@ -216,12 +182,14 @@ class GradedRing:
 
     @cached_property
     def _killers(self) -> list:
-        return [next(iter(r.terms)) for r in self.presentation.relations if len(r.terms) == 1]
+        relations = self.presentation.relations
+        unpack = self.presentation.table.unpack
+        return [unpack(next(iter(r.packed))) for r in relations if len(r.packed) == 1]
 
     @cached_property
     def packed_relations(self) -> list:
         """The relations other than killers, as `packed_polys` gives them."""
-        return self.packed_polys(r for r in self.presentation.relations if len(r.terms) > 1)
+        return self.packed_polys(r for r in self.presentation.relations if len(r.packed) > 1)
 
     def live(self, d: int) -> list:
         """Packed degree-d monomials that no killer divides, ascending."""
@@ -231,12 +199,12 @@ class GradedRing:
 
     def packed_terms(self, poly: Poly) -> list:
         """(packed monomial, coefficient) pairs of a polynomial, ascending."""
-        return sorted((_pack(e, self.width), c) for e, c in poly.terms.items())
+        return sorted(poly.packed.items())
 
     def packed_polys(self, polys) -> list:
         """(degree, packed terms) of each nonzero polynomial, sparse first
         (stable); the last term is the leading monomial."""
-        polys = sorted((g for g in polys if not g.is_zero()), key=lambda g: len(g.terms))
+        polys = sorted((g for g in polys if not g.is_zero()), key=lambda g: len(g.packed))
         return [(g.homogeneous_degree(), self.packed_terms(g)) for g in polys]
 
 
@@ -280,8 +248,7 @@ class DegreeSpan:
     def alive_monomials(self) -> tuple:
         """Basis monomials not killed by a single-term relation, in column
         order: the columns of the echelon."""
-        nvars = len(self.presentation.table)
-        return tuple(_unpack(m, nvars, self.ring.width) for m in self._alive_index)
+        return tuple(map(self.presentation.table.unpack, self._alive_index))
 
     @property
     def rows_inserted(self) -> int:
@@ -401,10 +368,16 @@ def memberships(p: Presentation, gens, polys, monomial_cap: int = None) -> list:
     for i, f in enumerate(polys):
         if not f.is_zero() and (k := f.homogeneous_degree()) <= p.top_degree:
             by_degree.setdefault(k, []).append(i)
-    for span in GradedRing(p).spans(sorted(by_degree), monomial_cap):
+
+    def answer(span):
         span.insert_products(gens)
-        for i in by_degree[span.degree]:
-            answers[i] = span.reduces_to_zero(polys[i])
+        return [(i, span.reduces_to_zero(polys[i])) for i in by_degree[span.degree]]
+
+    # map holds one span at a time: a for loop over the spans would keep the
+    # last one bound while the iterator builds the next
+    for answered in map(answer, GradedRing(p).spans(sorted(by_degree), monomial_cap)):
+        for i, member in answered:
+            answers[i] = member
     return answers
 
 
@@ -420,20 +393,25 @@ def ideal_ranks(p: Presentation, gens, monomial_cap: int = None) -> RankTable:
     cap before any span is built."""
     gens = list(gens)
     spans = GradedRing(p).spans(range(p.top_degree + 1), monomial_cap)
-    return [span.insert_products(gens) for span in spans]
+    return list(map(lambda span: span.insert_products(gens), spans))  # one span at a time
+
+
+def _map_monomial(exps, names, images: dict, target: Presentation) -> Poly:
+    """Image of the monomial with these exponents of the named variables."""
+    term = Poly.constant(target.table, 1)
+    for name, e in zip(names, exps):
+        if e:
+            term = term * images[name] ** e
+    return term
 
 
 def map_poly(poly: Poly, images: dict, target: Presentation) -> Poly:
     """Push a polynomial through a variable substitution into the target
     presentation's ring."""
     out = Poly.zero(target.table)
-    one = Poly.constant(target.table, 1)
+    names = poly.table.names()
     for exps, coeff in sorted(poly.terms.items()):
-        term = one * coeff
-        for name, e in zip(poly.table.names(), exps):
-            if e:
-                term = term * images[name] ** e
-        out = out + term
+        out = out + _map_monomial(exps, names, images, target) * coeff
     return out
 
 
@@ -471,8 +449,9 @@ def kernel_ranks(
         image = map_poly(rel, var_images, p_target)
         if not image.is_zero():
             mapped.setdefault(image.homogeneous_degree(), []).append((rel, image))
-    out = []
-    for tgt_span in targets:  # ascending: the first relation outside is first in order
+
+    def kernel_rank(tgt_span):
+        # ascending: the first relation outside is first in order
         for rel, f in mapped.get(tgt_span.degree, ()):
             if not tgt_span.reduces_to_zero(f):
                 raise MapError(
@@ -481,15 +460,19 @@ def kernel_ranks(
                     offending=rel,
                 )
         if tgt_span.degree > source_top:
-            continue
+            return None
         src_span = next(sources)
         # dead monomials are zero in the source quotient and contribute nothing
+        names = p_source.table.names()
         image = sum(
-            tgt_span.insert(map_poly(Poly.monomial(p_source.table, m), var_images, p_target))
+            tgt_span.insert(_map_monomial(m, names, var_images, p_target))
             for m in src_span.alive_monomials
         )
-        out.append(src_span.quotient_rank() - image)
-    return out + [span.quotient_rank() for span in sources]
+        return src_span.quotient_rank() - image
+
+    # map holds one span of each ring at a time
+    out = [rank for rank in map(kernel_rank, targets) if rank is not None]
+    return out + list(map(DegreeSpan.quotient_rank, sources))
 
 
 def _binomial_product(dim: int, n: int) -> list:

@@ -146,11 +146,14 @@ def _ranks_and_outside(p: Presentation, queries, monomial_cap) -> tuple:
     by_degree = {}
     for f in queries:
         by_degree.setdefault(f.homogeneous_degree(), []).append(f)
-    ranks, outside = [], []
-    for span in GradedRing(p).spans(range(p.top_degree + 1), monomial_cap):
-        ranks.append(span.quotient_rank())
-        outside += [str(f) for f in by_degree.get(span.degree, ()) if not span.reduces_to_zero(f)]
-    return ranks, outside
+
+    def answer(span):
+        outside = [str(f) for f in by_degree.get(span.degree, ()) if not span.reduces_to_zero(f)]
+        return span.quotient_rank(), outside
+
+    # map holds one span at a time
+    answers = list(map(answer, GradedRing(p).spans(range(p.top_degree + 1), monomial_cap)))
+    return [rank for rank, _ in answers], [f for _, outside in answers for f in outside]
 
 
 def check_equivalence(

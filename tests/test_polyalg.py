@@ -249,3 +249,156 @@ class TestPresentation:
             "D{1,2}",
             "D{1,2,3}",
         )
+
+
+class TestExponentChecks:
+    """A packed field never borrows or carries: exponents it cannot hold
+    are refused with a typed error, never wrapped."""
+
+    X = VarTable((Var("x"), Var("h", 1, 3)))  # x uncapped, h^3 = 0
+
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(StructureError, match="negative"):
+            Poly(T2, {(-1, 0): 1})
+        with pytest.raises(StructureError, match="negative"):
+            Poly.monomial(self.X, (1, -2))
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, "1", None])
+    def test_non_integer_exponent_is_refused(self, exponent):
+        with pytest.raises(StructureError, match="not an integer"):
+            Poly(T2, {(exponent, 0): 1})
+
+    def test_exponent_over_a_cap_dies(self):
+        assert Poly(T2, {(3, 0): 1}).is_zero()
+        assert Poly.monomial(self.X, (0, 10**9)).is_zero()
+
+    def test_uncapped_exponent_over_the_field_is_refused_on_construction(self):
+        bound = self.X.max_exponent
+        assert bound == 2**15 - 1
+        assert str(Poly.monomial(self.X, (bound, 0))) == f"x^{bound}"
+        with pytest.raises(StructureError, match="packed field"):
+            Poly.monomial(self.X, (bound + 1, 0))
+
+    def test_uncapped_exponent_over_the_field_is_refused_on_a_product(self):
+        bound = self.X.max_exponent
+        x = Poly.variable(self.X, "x")
+        top = Poly.monomial(self.X, (bound, 0))
+        with pytest.raises(StructureError, match="packed field"):
+            top * x
+        with pytest.raises(StructureError, match="packed field"):
+            (x + Poly.variable(self.X, "h")) ** (bound + 1)
+        # the capped field of the same product dies instead
+        assert (top * Poly.variable(self.X, "h") ** 3).is_zero()
+
+    def test_bound_keeps_every_degree_exact(self):
+        # n variables at the bound: the degree is the packed value modulo
+        # 2**16 - 1 only while n * bound stays below it
+        n = 31
+        table = VarTable(tuple(Var(f"x{i}") for i in range(n)))
+        bound = table.max_exponent
+        assert n * bound < 2**16 - 1 <= n * (bound + 1)
+        full = Poly.monomial(table, (bound,) * n)
+        assert full.homogeneous_degree() == n * bound
+        assert full.terms == {(bound,) * n: 1}
+        with pytest.raises(StructureError):
+            full * Poly.variable(table, "x0")
+
+    def test_table_refuses_a_cap_the_field_cannot_hold(self):
+        assert VarTable((Var("h", 1, 2**15),)).max_exponent == 2**15 - 1
+        with pytest.raises(StructureError, match="cap"):
+            VarTable((Var("h", 1, 2**15 + 1),))
+        wide = tuple(Var(f"h{i}", 1, 2) for i in range(30))
+        bound = VarTable(wide).max_exponent
+        with pytest.raises(StructureError, match="cap"):
+            VarTable(wide + (Var("y", 1, bound + 2),))
+
+    def test_transport_checks_the_target_field(self):
+        small = VarTable((Var("a", 1, 3), Var("b", 1, 3), Var("c", 1, 3)))
+        merged = VarTable((Var("z", 1, 5),))
+        a, b = Poly.variable(small, "a"), Poly.variable(small, "b")
+        rename = {"a": "z", "b": "z", "c": "z"}
+        assert transport(a * a * b, merged, rename) == Poly.monomial(merged, (3,))
+        c = Poly.variable(small, "c")
+        assert transport(a * a * b * b, merged, rename) == Poly.monomial(merged, (4,))
+        assert transport(a * a * b * b * c, merged, rename).is_zero()
+        bound = self.X.max_exponent
+        onto_x = transport(Poly.monomial(self.X, (bound, 0)), VarTable((Var("x"),)))
+        assert onto_x == Poly.monomial(VarTable((Var("x"),)), (bound,))
+        wide = VarTable((Var("x"), Var("h", 1, 3)) + tuple(Var(f"y{i}") for i in range(3)))
+        with pytest.raises(StructureError, match="packed field"):
+            transport(Poly.monomial(self.X, (bound, 0)), wide)
+
+
+def _reference_normalized(terms, caps):
+    out = {}
+    for exps, c in terms:
+        if any(cap is not None and e >= cap for e, cap in zip(exps, caps)):
+            continue
+        out[exps] = out.get(exps, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_mul(a, b, caps):
+    return _reference_normalized(
+        [(tuple(x + y for x, y in zip(e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()],
+        caps,
+    )
+
+
+def _reference_str(terms, names):
+    # the canonical text form, from exponent tuples
+    ordered = sorted(terms.items(), key=lambda t: tuple(reversed(t[0])), reverse=True)
+    if not ordered:
+        return "0"
+    out = []
+    for i, (exps, c) in enumerate(ordered):
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
+        out.append(("-" if c < 0 else "") + body if i == 0 else (" - " if c < 0 else " + ") + body)
+    return "".join(out)
+
+
+@st.composite
+def tables_and_polys(draw):
+    nvars = draw(st.integers(1, 4))
+    caps = draw(st.lists(st.none() | st.integers(1, 4), min_size=nvars, max_size=nvars))
+    table = VarTable(tuple(Var(f"x{i}", 1, cap) for i, cap in enumerate(caps)))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    polys = [
+        draw(st.lists(st.tuples(exps, st.integers(-4, 4)), max_size=5)) for _ in range(2)
+    ]
+    return table, polys
+
+
+class TestPackedAgreesWithTupleReference:
+    @settings(max_examples=150, deadline=None)
+    @given(tables_and_polys(), st.integers(0, 3))
+    def test_arithmetic_and_canonical_form(self, drawn, k):
+        table, (ta, tb) = drawn
+        caps, names = table.caps(), table.names()
+        a, b = Poly(table, dict(ta)), Poly(table, dict(tb))
+        # dict(ta) keeps the last coefficient of a repeated monomial
+        ra, rb = _reference_normalized(dict(ta).items(), caps), _reference_normalized(dict(tb).items(), caps)
+        assert a.terms == ra and b.terms == rb
+        assert (a + b).terms == _reference_normalized(list(ra.items()) + list(rb.items()), caps)
+        assert (a - b).terms == _reference_normalized(
+            list(ra.items()) + [(e, -c) for e, c in rb.items()], caps
+        )
+        assert (-a).terms == {e: -c for e, c in ra.items()}
+        assert (3 * a).terms == {e: 3 * c for e, c in ra.items()}
+        assert (a * b).terms == _reference_mul(ra, rb, caps)
+        power = {(0,) * len(table): 1}
+        for _ in range(k):
+            power = _reference_mul(power, ra, caps)
+        assert (a**k).terms == power
+        for poly, ref in ((a, ra), (a * b, _reference_mul(ra, rb, caps))):
+            assert str(poly) == _reference_str(ref, names)
+            degrees = {sum(e) for e in ref}
+            if len(degrees) > 1:
+                with pytest.raises(DegreeError):
+                    poly.homogeneous_degree()
+            else:
+                assert poly.homogeneous_degree() == (degrees.pop() if degrees else None)
+            lead = max(ref, key=lambda e: tuple(reversed(e)), default=None)
+            flip = lead is not None and ref[lead] < 0
+            assert poly.sign_normalized().terms == ({e: -c for e, c in ref.items()} if flip else ref)

@@ -361,3 +361,67 @@ class TestIteratedPresentation:
                 assert transported == expected
                 assert expected in data.ideal_gens
             processed = LargeFamily(3, processed.members | {t})
+
+
+#: SHA-256 of `fmchow present`'s two files and of the iterated and
+#: simplified presentations' dumps, recorded before monomials were packed
+GOLDEN = {
+    (1, "1,1,1,1"): (
+        "9ff0dddeaacf9e5427a293e31361282d3e5e2c0f2989e2941a08040310f9a7a7",
+        "0d8e2ccd37df7046031187fdb9297f0e33be92d30c86ca9ab8fd201320174fff",
+        "183f2fbade94bd12c9bd55bc93e1ba02a9fee371d5da6518a45808a000c9e044",
+        "40f41b54b9a07b39281dd906c7977d42cb490dc0ce21e20fd91656c9034f5da8",
+    ),
+    (2, "1,1/2,1/2"): (
+        "cb7d10781b4563d889e4e3c3e24f45708b45c9b2301d0464dbe9bf48313a3557",
+        "637fa3bc2aa362904b268c3f2ce2bc6fa8bf67f5bb24b53553d5fa9b1960c5c5",
+        "cd257e5c3a68c3b861007b594a1c2c74fcc8e7c2838466b3b0cfc47e753b3b56",
+        "8b6b7d68986b7d606e9011a3f0bffebf876d316d6aed16b7a9fcffe1d0e47852",
+    ),
+    (3, "1,1"): (
+        "51b3f8716518bfb91398ef0caaa01919d9273090b69a3e08bb9e885361f3fcc7",
+        "235d69ab8ac6ab043965cd31121ab48c01a17a9d03bccbfff3aadbdf7609e52d",
+        "8bffcde67f87e42d0494e02af69fa5f3397de623a2757e2c037f3d42d258f66e",
+        "8bffcde67f87e42d0494e02af69fa5f3397de623a2757e2c037f3d42d258f66e",
+    ),
+}
+
+
+@pytest.mark.parametrize("dim, weights", sorted(GOLDEN))
+def test_presentation_bytes_are_golden(dim, weights, tmp_path):
+    from hashlib import sha256
+
+    from fmchow.cli import main
+    from fmchow.setcomb import Weights
+
+    assert main(["present", "--d", str(dim), "--weights", weights, "--out", str(tmp_path)]) == 0
+    parsed = Weights.from_strings(weights.split(","))
+    geom = ProjectiveGeometry(dim, parsed.n)
+    blobs = [
+        (tmp_path / "presentation.txt").read_bytes(),
+        (tmp_path / "presentation.json").read_bytes(),
+        iterated_presentation(geom, LargeFamily.from_weights(parsed)).dump().encode(),
+        simplified_presentation(geom).dump().encode(),
+    ]
+    assert tuple(sha256(b).hexdigest() for b in blobs) == GOLDEN[dim, weights]
+
+
+def test_equal_tables_compare_without_comparing_variables(monkeypatch):
+    # every table_for call makes a fresh, equal table, and a repeat build
+    # meets the cached Chern polynomials over the first build's table; tables
+    # compare and hash by one plain tuple, never variable by variable (about
+    # 52,000 Var comparisons per repeat (1,5) build otherwise)
+    geom, large = ProjectiveGeometry(1, 5), LargeFamily.all_subsets(5)
+    first = chow_presentation(geom, large)
+    calls = []
+    var_eq = Var.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return var_eq(self, other)
+
+    monkeypatch.setattr(Var, "__eq__", counting)
+    again = chow_presentation(geom, large)
+    assert again.table is not first.table
+    assert again == first and len(again.relations) == 520
+    assert calls == []

@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 
 import fmchow.ranks
 from fmchow._elim import Echelon
-from fmchow.errors import DegreeError, MapError, SizeCapError
+from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
 from fmchow.geomdata import ProjectiveGeometry
 from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable, _mono_key
 from fmchow.present import blowup_step, chow_presentation
 from fmchow.ranks import (
     DegreeSpan,
     GradedRing,
-    _field_width,
     _live_monomials,
     _monomial_counts,
-    _pack,
-    _unpack,
     graded_ranks,
     ideal_ranks,
     kernel_ranks,
@@ -185,7 +182,7 @@ class TestGradedRanks:
         def not_yet(*args):
             raise AssertionError("the ring did work before the cap refusal")
 
-        monkeypatch.setattr(fmchow.ranks, "_pack", not_yet)
+        monkeypatch.setattr(fmchow.ranks.GradedRing, "packed_polys", not_yet)
         monkeypatch.setattr(fmchow.ranks, "_live_monomials", not_yet)
         with pytest.raises(SizeCapError, match="degree 3 has 5301 monomials"):
             graded_ranks(p, monomial_cap=1000)
@@ -291,16 +288,15 @@ class TestLiveColumns:
     @given(small_presentations(), st.data())
     def test_live_enumeration_equals_filtered_basis(self, p, data):
         k = data.draw(st.integers(0, p.top_degree))
-        width = _field_width(p.top_degree)
-        packed = _live_monomials(p.table.caps(), killers_of(p), k, width)
+        packed = _live_monomials(p.table.caps(), killers_of(p), k, p.table.width)
         assert packed == sorted(set(packed))
-        live = [_unpack(m, len(p.table), width) for m in packed]
+        live = [p.table.unpack(m) for m in packed]
         assert live == reference_live(p, k)
         assert DegreeSpan(GradedRing(p), k).alive_monomials == tuple(live)
 
     @given(st.sampled_from(TOP_DEGREES), st.integers(1, 5), st.data())
     def test_packing_round_trips_orders_and_never_carries(self, top, nvars, data):
-        width = _field_width(top)
+        table = VarTable(tuple(Var(f"x{i}") for i in range(nvars)))
 
         def monomial():
             exps = [0] * nvars
@@ -309,11 +305,11 @@ class TestLiveColumns:
             return exps
 
         a, b = monomial(), monomial()
-        assert _unpack(_pack(a, width), nvars, width) == tuple(a)
-        assert (_pack(a, width) < _pack(b, width)) == (_mono_key(a) < _mono_key(b))
+        assert table.unpack(table.pack(a)) == tuple(a)
+        assert (table.pack(a) < table.pack(b)) == (_mono_key(a) < _mono_key(b))
         if sum(a) + sum(b) <= top:
             total = [x + y for x, y in zip(a, b)]
-            assert _pack(a, width) + _pack(b, width) == _pack(total, width)
+            assert table.pack(a) + table.pack(b) == table.pack(total)
 
     @settings(deadline=None, max_examples=60)
     @given(small_presentations(max_vars=3, tops=(0, 1, 3, 4), generic=True), st.data())
@@ -649,3 +645,65 @@ class TestStructuralProperties:
         a = rank_oracle(2, 3, small)
         b = rank_oracle(2, 3, bigger)
         assert all(x <= y for x, y in zip(a, b))
+
+
+class TestOneSpanAlive:
+    """Every query drops a span before the next span of its ring is built."""
+
+    @pytest.fixture
+    def most_alive(self, monkeypatch):
+        import weakref
+
+        alive = weakref.WeakSet()
+        seen = []  # (spans of the new span's ring, spans of any ring) alive after each build
+        init = DegreeSpan.__init__
+
+        def tracking(self, ring, k):
+            init(self, ring, k)
+            alive.add(self)
+            seen.append((sum(s.ring is ring for s in alive), len(alive)))
+
+        monkeypatch.setattr(DegreeSpan, "__init__", tracking)
+
+        def most():
+            assert seen, "no span was built"
+            return max(r for r, _ in seen), max(a for _, a in seen)
+
+        return most
+
+    def test_memberships(self, most_alive):
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        assert all(memberships(p, [], p.relations))
+        assert most_alive() == (1, 1)
+
+    def test_ideal_ranks(self, most_alive):
+        p, h, e = blown_up_p3()
+        assert ideal_ranks(p, [h**3, h * e]) == [0, 0, 1, 1]
+        assert most_alive() == (1, 1)
+
+    def test_graded_ranks(self, most_alive):
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        assert graded_ranks(p) == [1, 9, 16, 9, 1]
+        assert most_alive() == (1, 1)
+
+    def test_rank_table_and_queries_of_a_side(self, most_alive):
+        from fmchow.verify import check_equivalence
+
+        assert check_equivalence(1, 4).passed
+        assert most_alive() == (1, 1)
+
+    def test_kernel_ranks_hold_one_source_and_one_target_span(self, most_alive):
+        from fmchow.verify import _blown_up_p2_at_point, _blown_up_p3_along_line
+
+        up, down = _blown_up_p3_along_line(), _blown_up_p2_at_point()
+        images = {name: Poly.variable(down.table, name) for name in ("h", "E")}
+        assert kernel_ranks(up, down, images) == [0, 0, 1, 1]
+        assert most_alive() == (1, 2)
+
+
+class TestFieldBound:
+    def test_ring_refuses_a_top_degree_the_field_cannot_hold(self):
+        table = VarTable((Var("x"), Var("y")))
+        assert graded_ranks(Presentation(table, [], 5)) == [1, 2, 3, 4, 5, 6]
+        with pytest.raises(StructureError, match="packed field"):
+            graded_ranks(Presentation(table, [], 1 << 16))
