@@ -1,6 +1,7 @@
 """Exact multivariate polynomial arithmetic and graded presentations.
 
-Coefficients are arbitrary-precision integers.  Variables come in two
+Coefficients are arbitrary-precision integers; any other coefficient
+(a Fraction, a float) raises StructureError.  Variables come in two
 flavors: point variables (hyperplane classes h_i, nilpotent with a fixed
 power cap, so `h_i^cap = 0` is enforced inside normalization rather than
 carried as an explicit relation) and divisor variables (D_S, E, ...) with
@@ -179,6 +180,15 @@ class VarTable:
         return f"an uncapped exponent is over the packed field's bound {self.max_exponent}"
 
 
+def _coefficient(c) -> int:
+    """An integer coefficient, or StructureError: a rational or float one
+    would be truncated or break exact elimination."""
+    try:
+        return index(c)
+    except TypeError:
+        raise StructureError(f"coefficient {c!r} is not an integer") from None
+
+
 def _mono_key(exps):
     # Later variables (divisor variables) rank highest; descending order of
     # this key is the canonical printing order, ascending the basis order.
@@ -200,6 +210,7 @@ class Poly:
     def __init__(self, table: VarTable, terms: Mapping):
         packed = {}
         for exps, coeff in terms.items():
+            coeff = _coefficient(coeff)
             if coeff == 0:
                 continue
             m = table.pack(exps)
@@ -238,7 +249,7 @@ class Poly:
 
     @classmethod
     def constant(cls, table: VarTable, c: int) -> "Poly":
-        c = int(c)
+        c = _coefficient(c)
         return cls._of(table, {0: c} if c else {})
 
     @classmethod
@@ -282,7 +293,7 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, Poly):
             other = Poly.constant(self.table, other)
         self._check_table(other)
         terms = dict(self.packed)
@@ -300,7 +311,7 @@ class Poly:
         return Poly._of(self.table, {m: -c for m, c in self.packed.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, Poly):
             other = Poly.constant(self.table, other)
         return self + (-other)
 
@@ -309,7 +320,8 @@ class Poly:
 
     def __mul__(self, other):
         table = self.table
-        if isinstance(other, int):
+        if not isinstance(other, Poly):
+            other = _coefficient(other)
             if not other:
                 return Poly._of(table, {})
             return Poly._of(table, {m: other * c for m, c in self.packed.items()})

@@ -198,7 +198,11 @@ class GradedRing:
         return self._live[d]
 
     def packed_terms(self, poly: Poly) -> list:
-        """(packed monomial, coefficient) pairs of a polynomial, ascending."""
+        """(packed monomial, coefficient) pairs of a polynomial, ascending.
+        Raises StructureError for a polynomial over another table, whose
+        packed fields would be read as the wrong variables."""
+        if poly.table != self.presentation.table:
+            raise StructureError("polynomial over a different variable table than the presentation")
         return sorted(poly.packed.items())
 
     def packed_polys(self, polys) -> list:
@@ -305,13 +309,14 @@ class DegreeSpan:
             self._ech.insert(cols, coeffs)
 
     def vector(self, poly: Poly):
-        if poly.is_zero():
+        terms = self.ring.packed_terms(poly)
+        if not terms:
             return [], []
         if poly.homogeneous_degree() != self.degree:
             raise DegreeError(
                 f"expected a homogeneous polynomial of degree {self.degree}"
             )
-        return self._row(self.ring.packed_terms(poly))
+        return self._row(terms)
 
     def insert_products(self, gens) -> int:
         """Insert g*m rows for extra generators; returns the rank gain."""

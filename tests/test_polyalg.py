@@ -1,5 +1,7 @@
 """Tests for the exact polynomial substrate."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +251,42 @@ class TestPresentation:
             "D{1,2}",
             "D{1,2,3}",
         )
+
+
+class TestCoefficientChecks:
+    """Coefficients are integers: a rational or float one is refused with a
+    typed error, never truncated or carried into elimination."""
+
+    NON_INTEGERS = [Fraction(1, 2), Fraction(2), 0.5, 1.0, "1"]
+
+    @pytest.mark.parametrize("c", NON_INTEGERS)
+    def test_constructors_refuse(self, c):
+        with pytest.raises(StructureError, match="not an integer"):
+            Poly(T2, {(1, 0): c, (0, 1): 1})
+        with pytest.raises(StructureError, match="not an integer"):
+            Poly.constant(T2, c)
+        with pytest.raises(StructureError, match="not an integer"):
+            Poly.monomial(T2, (1, 0), c)
+
+    @pytest.mark.parametrize("c", NON_INTEGERS)
+    def test_scalar_arithmetic_refuses(self, c):
+        x = h(T2, 1)
+        for op in (
+            lambda: x * c,
+            lambda: c * x,
+            lambda: x + c,
+            lambda: c + x,
+            lambda: x - c,
+            lambda: c - x,
+        ):
+            with pytest.raises(StructureError, match="not an integer"):
+                op()
+
+    def test_integer_scalars_still_work(self):
+        x = h(T2, 1)
+        assert Poly.constant(T2, True) == Poly.constant(T2, 1)
+        assert (x * 2 - 2 * x).is_zero()
+        assert x + 1 - 1 == x
 
 
 class TestExponentChecks:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +59,78 @@ def dense_rank(rows, ncols):
     return rank
 
 
+class MergeEchelon:
+    """Reference kernel: each step merges the whole working row with the
+    pivot, a*row - b*pivot for pivot lead a and row lead b, into new lists
+    and divides the result by its content."""
+
+    def __init__(self):
+        self.rank = 0
+        self._pivots = {}
+
+    def reduce(self, cols, coeffs):
+        while cols and cols[0] in self._pivots:
+            pcols, pcoeffs = self._pivots[cols[0]]
+            merged = {c: pcoeffs[0] * v for c, v in zip(cols, coeffs)}
+            for c, v in zip(pcols, pcoeffs):
+                merged[c] = merged.get(c, 0) - coeffs[0] * v
+            cols = sorted(c for c, v in merged.items() if v)
+            g = gcd(*(merged[c] for c in cols))
+            coeffs = [merged[c] // g for c in cols]
+        return cols, coeffs
+
+    def insert(self, cols, coeffs):
+        cols, coeffs = self.reduce(list(cols), list(coeffs))
+        if not cols:
+            return False
+        g = gcd(*coeffs) * (1 if coeffs[0] > 0 else -1)
+        self._pivots[cols[0]] = (cols, [c // g for c in coeffs])
+        self.rank += 1
+        return True
+
+    def contains(self, cols, coeffs):
+        return not self.reduce(list(cols), list(coeffs))[0]
+
+
+def random_kernel_rows(rng, ncols):
+    """Rows for a kernel-equivalence trial: short rows (the usual pivots),
+    long rows, leads of +-1..+-4, and integer combinations of earlier rows,
+    which cancel to an empty residue."""
+    rows = []
+    for _ in range(rng.randint(5, 40)):
+        kind = rng.random()
+        if kind < 0.25 and rows:
+            row = {}
+            for earlier in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                m = rng.choice([-3, -2, -1, 1, 2, 3])
+                for c, v in earlier.items():
+                    row[c] = row.get(c, 0) + m * v
+            row = {c: v for c, v in row.items() if v}
+        else:
+            size = rng.randint(1, 3) if kind < 0.65 else rng.randint(4, ncols)
+            row = {c: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for c in rng.sample(range(ncols), size)}
+        rows.append(row)
+    return rows
+
+
 class TestEliminationKernels:
+    def test_accumulator_pivots_equal_the_merge_form(self):
+        rng = random.Random(20261018)
+        for trial in range(150):
+            ncols = rng.randint(4, 30)
+            ech, ref = Echelon(ncols), MergeEchelon()
+            for row in random_kernel_rows(rng, ncols):
+                cols = sorted(row)
+                coeffs = [row[c] for c in cols]
+                kept = (list(cols), list(coeffs))
+                assert ech.contains(cols, coeffs) == ref.contains(cols, coeffs)
+                assert ech.insert(cols, coeffs) == ref.insert(cols, coeffs)
+                assert (cols, coeffs) == kept  # the caller's lists are left as they were
+                assert ech._pivots == ref._pivots
+                assert ech.rank == ref.rank
+                assert ech.contains(cols, coeffs)
+                assert all(pcols is not cols and pc is not coeffs for pcols, pc in ech._pivots.values())
+
     def test_rank_matches_dense_oracle(self):
         rng = random.Random(20240811)
         for trial in range(40):
@@ -203,6 +275,13 @@ class TestGradedRanks:
         family = LargeFamily.from_weights(Weights.from_strings(weights))
         p = chow_presentation(ProjectiveGeometry(dim, n), family)
         assert graded_ranks(p) == rank_oracle(dim, n, family) == expected
+
+    def test_reach_beyond_the_default_cap_agrees_with_oracle(self):
+        # (2,4) all-large: 273,978 monomials at top degree, 12,231 live
+        family = LargeFamily.all_subsets(4)
+        p = chow_presentation(ProjectiveGeometry(2, 4), family)
+        expected = [1, 15, 67, 144, 182, 144, 67, 15, 1]
+        assert graded_ranks(p, monomial_cap=None) == rank_oracle(2, 4, family) == expected
 
     def test_spans_count_rows_and_skipped_multiples(self):
         # without the criterion, every live multiple gives 5,585 rows
@@ -374,6 +453,15 @@ class TestMembership:
         p, h, e = blown_up_p3()
         # degree-4 classes vanish in a threefold
         assert membership(p, [], (h * e) * (h * e)) is True
+
+    def test_query_over_another_table_is_refused(self):
+        # packed monomials are read by position: over (y, x), y packs as x does
+        x, y = Var("x"), Var("y")
+        p = Presentation(VarTable((x, y)), [Poly.variable(VarTable((x, y)), "x")], 2)
+        swapped = VarTable((y, x))
+        for name in ("x", "y"):
+            with pytest.raises(StructureError, match="different variable table"):
+                membership(p, [], Poly.variable(swapped, name))
 
 
 def draw_form(data, table, degree):
