@@ -118,3 +118,8 @@ class Echelon:
         """True iff the row lies in the current rational span."""
         cols, _ = self.reduce(cols, coeffs)
         return not cols
+
+    def unit_columns(self):
+        """Columns whose pivot row has a single entry: the unit vector of
+        each lies in the span."""
+        return [c for c, (cols, _) in self._pivots.items() if len(cols) == 1]

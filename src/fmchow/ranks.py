@@ -10,20 +10,30 @@ reporting surfaces: non-membership over the rationals certifies
 non-membership over the integers, but a positive membership answer is
 rational membership only -- integral torsion is out of scope.
 
-A degree slice builds no dead column.  The single-term relations
-("killers") generate a monomial ideal; every monomial a killer divides
-already lies in the span, so it is a dead column.  The live columns, the
-standard monomials of that ideal under the variable caps, are enumerated
-directly: the recursion over the variables stops as soon as a killer
-divides the exponents assigned so far.  Every other relation is multiplied
-only by live monomials: when a killer divides the shift it divides every
-term of the product, whose row would be empty.  A `GradedRing` owns the
-slices of one presentation.  It counts the full basis of each degree by a
-small DP over the variables, so the monomial cap refuses on that count --
-all monomials, live or dead -- before anything is built; it sorts the
-relations, and enumerates the live monomials of a degree, once for all its
-slices.  Every query walks the spans of a ring through `map`, so one span
-of a ring is alive at a time.
+A degree slice builds no dead column.  The dead columns of degree k are
+the degree-k monomials of a monomial ideal J that lies inside the relation
+ideal I.  J is generated by the single-term relations ("killers") and by
+every monomial that a lower relation span found: a pivot row of one entry
+m, built from relation rows alone, says that c*m is a combination of
+relation multiples modulo the dead columns of its degree, which lie in I
+by induction, so m and each of its multiples at every higher degree lie in
+I.  As J_k lies in I_k, the relation rank of degree k is dim J_k plus the
+rank of the relation rows modulo J_k, and a form lies in the span iff its
+terms on live columns do.  The live columns are J's standard monomials
+under the variable caps, enumerated degree by degree: a degree-d monomial
+is live iff it is not a killer, it is under the caps, and each of its
+degree-(d-1) divisors is live and was not found at degree d-1.  So a
+divisor of a live monomial is live, and a multiple of a dead one is dead.
+Every relation is multiplied only by live monomials: a product with a
+shift in J has every term in J, and its row is zero modulo J_k.  A
+`GradedRing` owns the slices of one presentation.  It counts the full
+basis of each degree by a small DP over the variables, so the monomial cap
+refuses on that count -- all monomials, live or dead -- before anything is
+built; it sorts the relations, enumerates the live monomials of a degree
+once for all its slices, and records what each relation span finds while
+the degree above is not enumerated yet.  Every query walks the spans of a
+ring through `map`, in ascending degree, so one span of a ring is alive at
+a time and each span's columns already exclude what the spans below found.
 
 Nor does a slice build a row that an earlier polynomial's leading monomial
 (LM, its largest packed term) covers -- the syzygy criterion of Faugere's
@@ -34,9 +44,13 @@ LM(f_i) divides m for some earlier f_i.  Writing m = LM(f_i)*m',
 
 the first part is a combination of rows of f_i, in the span by induction
 over the list of polynomials, and the second a combination of rows of f_j
-at shifts below m, in the span by induction over the shifts.  Dead
-columns and caps only drop terms from these rows, so the span, and every
-rank, is exactly that of all the multiples.
+at shifts below m, in the span by induction over the shifts.  The identity
+holds in R/J just as in R, and there a multiple at a dead shift is zero,
+so each row the two parts need is built, skipped by the same induction,
+or zero.  As a divisor of a live monomial is live, the live shifts a lead
+covers are the lead times the live monomials of the remaining degree.
+Dead columns and caps only drop terms from these rows, so the span, and
+every rank, is exactly that of all the multiples.
 
 Monomials in a slice are the packed integers of `Poly` itself, so a
 relation's terms go into rows as they are.  The field width comes from the
@@ -84,7 +98,11 @@ def monomials_of_degree(p: Presentation, k: int) -> list:
     _check_variables(p)
     _check_degree(p, k)
     table = p.table
-    return [table.unpack(m) for m in _live_monomials(table.caps(), (), k, table.width)]
+    most = _exponent_bounds(table.caps(), table.width)
+    layer = None
+    for d in range(k + 1):
+        layer = _live_layer(d, layer, (), (), most, table.width)
+    return list(map(table.unpack, layer))
 
 
 def _monomial_counts(caps, top: int) -> list:
@@ -104,67 +122,75 @@ def _monomial_counts(caps, top: int) -> list:
     return counts
 
 
-def _live_monomials(caps, killers, k: int, width: int) -> list:
-    """Packed degree-k monomials under the caps that no killer (exponent
-    tuple) divides, in ascending canonical order.
+def _exponent_bounds(caps, width: int) -> tuple:
+    """The largest exponent of each variable: its cap less one, or for an
+    uncapped variable one no packed field reaches."""
+    return tuple(1 << width if cap is None else cap - 1 for cap in caps)
 
-    The recursion assigns the last variable first and each exponent in
-    ascending order, which is ascending packed order.  A killer is tested
-    at its lowest variable, where its whole support has been assigned: if
-    it divides the exponents so far at exponent e there, it divides them
-    at every larger e and in every completion, so it bounds that loop.
+
+def _live_layer(d: int, below: dict, found, killers, most, width: int) -> dict:
+    """The live monomials of degree d, packed and ascending, each mapped to
+    its support (its variables' indices, ascending).
+
+    `below` is the layer of degree d-1 (None at d = 0), `found` the
+    monomials of degree d-1 found in the ideal, `killers` the packed
+    degree-d killers and `most` the largest exponent of each variable.  A
+    degree-d monomial is live iff it is not a killer, it is under the
+    caps, and each of its degree-(d-1) divisors is in `below` and not in
+    `found`.  It is built once, as q*x_i with x_i its last variable; then
+    the divisor by x_i is q, and the others are tested.  For each i in
+    turn, the q with no variable after x_i are a prefix of `below`, and the
+    products come out ascending.
     """
-    nvars = len(caps)
-    by_low = [[] for _ in range(nvars)]
-    for killer in killers:
-        support = [(i, e) for i, e in enumerate(killer) if e]
-        if not support:
-            return []  # a unit relation kills every monomial
-        (low, e_low), rest = support[0], support[1:]
-        by_low[low].append((e_low, rest))
-    # room[i]: the most degree that variables 0..i-1 can take together
-    room = [0] * nvars
-    for i in range(1, nvars):
-        cap = caps[i - 1]
-        room[i] = min(k, room[i - 1] + (k if cap is None else cap - 1))
-    out = []
-    exps = [0] * nvars
-
-    def rec(i, remaining, packed):
-        top = remaining if caps[i] is None else min(remaining, caps[i] - 1)
-        for e_low, rest in by_low[i]:
-            if e_low <= top and all(exps[j] >= e for j, e in rest):
-                top = e_low - 1
-        if i == 0:
-            if remaining <= top:
-                out.append(packed + remaining)
-            return
-        step = 1 << (i * width)
-        for e in range(max(0, remaining - room[i]), top + 1):
-            exps[i] = e
-            rec(i - 1, remaining - e, packed + e * step)
-
-    rec(nvars - 1, k, 0)
+    if d == 0:
+        return {} if 0 in killers else {0: ()}
+    mask = (1 << width) - 1
+    steps = [1 << (i * width) for i in range(len(most))]
+    if found:
+        alive = below.keys() - found
+        items = [(q, support) for q, support in below.items() if q not in found]
+    else:
+        alive = below
+        items = below.items()
+    out = {}
+    for i, step in enumerate(steps):
+        if not most[i]:
+            continue  # a cap of 1: the variable is zero
+        bound = step << width  # the first monomial with a variable after x_i
+        for q, support in items:
+            if q >= bound:
+                break
+            if support and support[-1] == i:
+                if (q >> (i * width)) & mask >= most[i]:
+                    continue
+                others = support[:-1]
+            else:
+                others = support
+                support = support + (i,)
+            m = q + step
+            if m not in killers and all(m - steps[j] in alive for j in others):
+                out[m] = support
     return out
 
 
 class GradedRing:
     """The one owner of a presentation's degree slices and of what they share:
     the monomial counts, made at once for the cap check, then on first use the
-    killers, the other relations' packed terms and each degree's live
-    monomials.  Packed monomials are those of the presentation's table."""
+    killers, the other relations' packed terms, each degree's live monomials
+    and the monomials each relation span found.  Packed monomials are those of
+    the presentation's table."""
 
     def __init__(self, p: Presentation):
         _check_variables(p)
         self.presentation = p
-        self._caps = p.table.caps()
         self.width = p.table.width
         if p.top_degree >> self.width:
             raise StructureError(
                 f"top degree {p.top_degree} does not fit the packed field of {self.width} bits"
             )
-        self.counts = _monomial_counts(self._caps, p.top_degree)  # live or dead
-        self._live = {}  # degree -> packed live monomials, ascending
+        self.counts = _monomial_counts(p.table.caps(), p.top_degree)  # live or dead
+        self._live = []  # live layer of each degree enumerated so far, ascending
+        self._found = {}  # degree -> monomials a relation span found in the ideal
 
     def spans(self, degrees, monomial_cap: int = None):
         """Raise SizeCapError at the first of `degrees` with more monomials,
@@ -181,21 +207,47 @@ class GradedRing:
         return (DegreeSpan(self, k) for k in degrees)
 
     @cached_property
-    def _killers(self) -> list:
-        relations = self.presentation.relations
-        unpack = self.presentation.table.unpack
-        return [unpack(next(iter(r.packed))) for r in relations if len(r.packed) == 1]
+    def _killers(self) -> dict:
+        """Degree -> the packed single-term relations of that degree."""
+        killers = {}
+        for r in self.presentation.relations:
+            if len(r.packed) == 1:
+                killers.setdefault(r.homogeneous_degree(), set()).update(r.packed)
+        return killers
+
+    @cached_property
+    def _most(self) -> tuple:
+        return _exponent_bounds(self.presentation.table.caps(), self.width)
 
     @cached_property
     def packed_relations(self) -> list:
         """The relations other than killers, as `packed_polys` gives them."""
         return self.packed_polys(r for r in self.presentation.relations if len(r.packed) > 1)
 
-    def live(self, d: int) -> list:
-        """Packed degree-d monomials that no killer divides, ascending."""
-        if d not in self._live:
-            self._live[d] = _live_monomials(self._caps, self._killers, d, self.width)
-        return self._live[d]
+    def live(self, d: int) -> dict:
+        """The live degree-d monomials (see the module docstring), packed
+        and ascending, each mapped to its support; every degree below is
+        enumerated first, once."""
+        layers = self._live
+        while len(layers) <= d:
+            e = len(layers)
+            below = layers[-1] if layers else None
+            found = self._found.get(e - 1, ())
+            killers = self._killers.get(e, ())
+            layers.append(_live_layer(e, below, found, killers, self._most, self.width))
+        return layers[d]
+
+    def found(self, k: int) -> tuple:
+        """The packed degree-k monomials that relation spans of this ring
+        found in the ideal and the live columns above exclude, ascending."""
+        return tuple(sorted(self._found.get(k, ())))
+
+    def _record_found(self, k: int, monomials):
+        """Take in monomials a degree-k relation span found, unless degree
+        k+1 is enumerated already: its layer excludes only what was found
+        before it, and so, by their divisors, do the layers above."""
+        if monomials and len(self._live) <= k + 1:
+            self._found.setdefault(k, set()).update(monomials)
 
     def packed_terms(self, poly: Poly) -> list:
         """(packed monomial, coefficient) pairs of a polynomial, ascending.
@@ -215,14 +267,17 @@ class GradedRing:
 class DegreeSpan:
     """The degree-k slice of a presented ring: its live columns and the
     row span of relation multiples over them, held in an incremental
-    echelon form; its `GradedRing` owns what the slices share.  Killed
-    monomials are dead columns, and a relation multiple whose shift an
-    earlier lead divides is skipped (the F5 criterion; see the module
-    docstring).  The leads stay on the span, so extra generators inserted
-    afterwards (ideal generators) are pruned by the relations' leads too;
-    single rows (mapped classes) can be inserted as well.  The full basis
-    is counted, not built; `monomials` lists it on first use.  Ranks
-    always refer to the full column space.
+    echelon form; its `GradedRing` owns what the slices share.  The
+    multiples of killers and of the monomials lower relation spans found
+    are dead columns, and a relation multiple whose shift an earlier lead
+    divides is skipped (the F5 criterion; see the module docstring).  Once
+    the relation rows are in, each pivot of one entry is a monomial found
+    in the ideal, which the ring passes on to the spans above.  The leads
+    stay on the span, so extra generators inserted afterwards (ideal
+    generators) are pruned by the relations' leads too; single rows
+    (mapped classes) can be inserted as well.  The full basis is counted,
+    not built; `monomials` lists it on first use.  Ranks always refer to
+    the full column space.
     """
 
     def __init__(self, ring: GradedRing, k: int):
@@ -241,6 +296,11 @@ class DegreeSpan:
         self._ech = Echelon(len(alive))
         self._insert_products(ring.packed_relations)
         self._relation_rank = self._dead + self._ech.rank
+        units = self._ech.unit_columns()
+        self._monomials_found = len(units)
+        if units:
+            columns = list(alive)
+            ring._record_found(k, [columns[c] for c in units])
 
     @cached_property
     def monomials(self) -> list:
@@ -250,19 +310,27 @@ class DegreeSpan:
 
     @property
     def alive_monomials(self) -> tuple:
-        """Basis monomials not killed by a single-term relation, in column
-        order: the columns of the echelon."""
+        """Basis monomials that neither a killer nor a monomial found by a
+        lower relation span of the ring divides, in column order: the
+        columns of the echelon."""
         return tuple(map(self.presentation.table.unpack, self._alive_index))
 
     @property
     def rows_inserted(self) -> int:
-        """Rows handed to the echelon so far, relation multiples included."""
+        """Rows handed to the echelon so far, relation multiples included;
+        equal multiples are handed over once."""
         return self._rows_inserted
 
     @property
     def products_skipped(self) -> int:
         """Multiples not built because an earlier lead divides the shift."""
         return self._products_skipped
+
+    @property
+    def monomials_found(self) -> int:
+        """Monomials this span's relation rows proved in the ideal: the
+        pivots of one entry before any other row went in."""
+        return self._monomials_found
 
     def _row(self, terms, shift: int = 0):
         """Coefficient row of packed terms times a packed monomial shift
@@ -304,9 +372,15 @@ class DegreeSpan:
                     rows.append((cols, coeffs))
             self._leads.append((dg, terms[-1][0]))
         rows.sort(key=lambda row: (len(row[0]), row[0], row[1]))
-        self._rows_inserted += len(rows)
-        for cols, coeffs in rows:
-            self._ech.insert(cols, coeffs)
+        insert = self._ech.insert
+        inserted = 0
+        last = None
+        for row in rows:
+            if row != last:  # equal rows are adjacent once sorted
+                insert(*row)
+                inserted += 1
+                last = row
+        self._rows_inserted += inserted
 
     def vector(self, poly: Poly):
         terms = self.ring.packed_terms(poly)
@@ -467,7 +541,9 @@ def kernel_ranks(
         if tgt_span.degree > source_top:
             return None
         src_span = next(sources)
-        # dead monomials are zero in the source quotient and contribute nothing
+        # dead monomials lie in the source ideal (killed, or multiples of a
+        # monomial a lower source span found): zero in the source quotient,
+        # they contribute nothing
         names = p_source.table.names()
         image = sum(
             tgt_span.insert(_map_monomial(m, names, var_images, p_target))

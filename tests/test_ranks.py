@@ -17,7 +17,7 @@ from fmchow.present import blowup_step, chow_presentation
 from fmchow.ranks import (
     DegreeSpan,
     GradedRing,
-    _live_monomials,
+    _live_layer,
     _monomial_counts,
     graded_ranks,
     ideal_ranks,
@@ -255,7 +255,7 @@ class TestGradedRanks:
             raise AssertionError("the ring did work before the cap refusal")
 
         monkeypatch.setattr(fmchow.ranks.GradedRing, "packed_polys", not_yet)
-        monkeypatch.setattr(fmchow.ranks, "_live_monomials", not_yet)
+        monkeypatch.setattr(fmchow.ranks, "_live_layer", not_yet)
         with pytest.raises(SizeCapError, match="degree 3 has 5301 monomials"):
             graded_ranks(p, monomial_cap=1000)
         with pytest.raises(SizeCapError, match="degree 3 has 5301 monomials"):
@@ -288,7 +288,7 @@ class TestGradedRanks:
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = [DegreeSpan(GradedRing(p), k) for k in range(p.top_degree + 1)]
         assert [s.quotient_rank() for s in spans] == [1, 9, 16, 9, 1]
-        assert [s.rows_inserted for s in spans] == [0, 6, 142, 908, 2739]
+        assert [s.rows_inserted for s in spans] == [0, 6, 106, 639, 1855]
         assert any(s.products_skipped > 0 for s in spans)
 
     def test_live_monomials_are_enumerated_once_per_slice(self, monkeypatch):
@@ -296,13 +296,12 @@ class TestGradedRanks:
         # slices and as shifts of lower-degree relations
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         calls = []
-        enumerate_live = fmchow.ranks._live_monomials
 
-        def counting(caps, killers, k, width):
-            calls.append(k)
-            return enumerate_live(caps, killers, k, width)
+        def counting(d, *args):
+            calls.append(d)
+            return _live_layer(d, *args)
 
-        monkeypatch.setattr(fmchow.ranks, "_live_monomials", counting)
+        monkeypatch.setattr(fmchow.ranks, "_live_layer", counting)
         assert graded_ranks(p) == [1, 9, 16, 9, 1]
         assert sorted(calls) == [0, 1, 2, 3, 4]
 
@@ -345,14 +344,12 @@ def killers_of(p):
     return [next(iter(r.terms)) for r in p.relations if len(r.terms) == 1]
 
 
-def reference_live(p, k):
-    """The live basis by its definition: every capped monomial that no
-    single-term relation divides, in canonical order."""
-    killers = killers_of(p)
+def standard_monomials(p, k, generators):
+    """Degree-k basis monomials that no generator (exponent tuple) divides."""
     return [
         m
         for m in monomials_of_degree(p, k)
-        if not any(all(a <= b for a, b in zip(klr, m)) for klr in killers)
+        if not any(all(a <= b for a, b in zip(g, m)) for g in generators)
     ]
 
 
@@ -367,10 +364,11 @@ class TestLiveColumns:
     @given(small_presentations(), st.data())
     def test_live_enumeration_equals_filtered_basis(self, p, data):
         k = data.draw(st.integers(0, p.top_degree))
-        packed = _live_monomials(p.table.caps(), killers_of(p), k, p.table.width)
+        # a fresh ring's layers know only the killers: no span has found any monomial
+        packed = list(GradedRing(p).live(k))
         assert packed == sorted(set(packed))
         live = [p.table.unpack(m) for m in packed]
-        assert live == reference_live(p, k)
+        assert live == standard_monomials(p, k, killers_of(p))
         assert DegreeSpan(GradedRing(p), k).alive_monomials == tuple(live)
 
     @given(st.sampled_from(TOP_DEGREES), st.integers(1, 5), st.data())
@@ -503,41 +501,101 @@ def dense_multiples(p, polys, k, col):
     return rows
 
 
+def dense_forms(data, p, extra_range):
+    """A presentation with extra dense relations of up to six terms, and
+    0-2 generators: (presentation, extra relations, generators)."""
+    table, top = p.table, p.top_degree
+
+    def form():
+        degree = data.draw(st.integers(1, max(top, 1)))
+        return draw_form(data, table, degree) + draw_form(data, table, degree)
+
+    extra = [form() for _ in range(data.draw(extra_range))]
+    gens = [form() for _ in range(data.draw(st.integers(0, 2)))]
+    return Presentation(table, list(p.relations) + extra, top), extra, gens
+
+
+def check_span_against_dense(span, p, extra, gens, data):
+    """Relation rank, span rank after the generators and membership queries
+    of a fresh relation span, against every multiple over the full basis
+    ranked by plain Gaussian elimination over Fractions."""
+    k, table = span.degree, p.table
+    basis = monomials_of_degree(p, k)
+    col = {m: i for i, m in enumerate(basis)}
+    relation_rows = dense_multiples(p, p.relations, k, col)
+    rows = relation_rows + dense_multiples(p, gens, k, col)
+    rank = dense_rank(rows, len(basis))
+    assert span.relation_rank() == dense_rank(relation_rows, len(basis))
+    span.insert_products(gens)
+    assert span.span_rank() == rank
+
+    queries = [draw_form(data, table, k)]
+    factors = [g for g in gens + extra if not g.is_zero() and g.homogeneous_degree() <= k]
+    if factors:
+        g = data.draw(st.sampled_from(factors))
+        queries.append(g * draw_form(data, table, k - g.homogeneous_degree()))
+    for f in queries:
+        row = {col[m]: c for m, c in f.terms.items()}
+        assert span.reduces_to_zero(f) == (dense_rank(rows + [row], len(basis)) == rank)
+
+
 class TestDenseRelations:
     @settings(deadline=None, max_examples=60)
     @given(small_presentations(max_vars=3, tops=(0, 1, 3, 4), generic=True), st.data())
     def test_spans_and_queries_match_dense_reference(self, p, data):
-        # relations of up to six terms and 0-2 generators against every
-        # multiple, ranked by plain Gaussian elimination over Fractions
-        table, top = p.table, p.top_degree
+        p, extra, gens = dense_forms(data, p, st.integers(0, 3))
+        k = data.draw(st.integers(0, p.top_degree))
+        check_span_against_dense(DegreeSpan(GradedRing(p), k), p, extra, gens, data)
 
-        def form():
-            degree = data.draw(st.integers(1, max(top, 1)))
-            return draw_form(data, table, degree) + draw_form(data, table, degree)
 
-        extra = [form() for _ in range(data.draw(st.integers(0, 3)))]
-        p = Presentation(table, list(p.relations) + extra, top)
-        gens = [form() for _ in range(data.draw(st.integers(0, 2)))]
-        k = data.draw(st.integers(0, top))
-        basis = monomials_of_degree(p, k)
-        col = {m: i for i, m in enumerate(basis)}
-        relation_rows = dense_multiples(p, p.relations, k, col)
-        rows = relation_rows + dense_multiples(p, gens, k, col)
-        rank = dense_rank(rows, len(basis))
+class TestFoundMonomials:
+    """A monomial a relation span finds in the ideal kills its multiples in
+    every span above it on the same ring."""
 
-        span = DegreeSpan(GradedRing(p), k)
-        assert span.relation_rank() == dense_rank(relation_rows, len(basis))
-        span.insert_products(gens)
-        assert span.span_rank() == rank
+    @settings(deadline=None, max_examples=100)
+    @given(small_presentations(max_vars=3, tops=(2, 3, 4), generic=True), st.data())
+    def test_whole_ring_matches_dense_reference(self, p, data):
+        # the spans of one ring in ascending degree; the dense reference
+        # knows nothing of found monomials, and a top degree of 2 or more
+        # leaves a span above a find
+        p, extra, gens = dense_forms(data, p, st.integers(1, 3))
+        for span in GradedRing(p).spans(range(p.top_degree + 1)):
+            check_span_against_dense(span, p, extra, gens, data)
 
-        queries = [draw_form(data, table, k)]
-        factors = [g for g in gens + extra if not g.is_zero() and g.homogeneous_degree() <= k]
-        if factors:
-            g = data.draw(st.sampled_from(factors))
-            queries.append(g * draw_form(data, table, k - g.homogeneous_degree()))
-        for f in queries:
-            row = {col[m]: c for m, c in f.terms.items()}
-            assert span.reduces_to_zero(f) == (dense_rank(rows + [row], len(basis)) == rank)
+    @pytest.mark.parametrize("dim, weights", [(1, ("1",) * 4), (2, ("1/2",) * 4)])
+    def test_found_monomials_are_members_and_bound_the_live_columns(self, dim, weights):
+        family = LargeFamily.from_weights(Weights.from_strings(weights))
+        p = chow_presentation(ProjectiveGeometry(dim, len(weights)), family)
+        ring = GradedRing(p)
+        generators = killers_of(p)
+        found = []
+        for span in ring.spans(range(p.top_degree + 1)):
+            k = span.degree
+            assert list(span.alive_monomials) == standard_monomials(p, k, generators)
+            monomials = [p.table.unpack(m) for m in ring.found(k)]
+            assert len(monomials) == span.monomials_found
+            generators += monomials
+            found += [Poly.monomial(p.table, m) for m in monomials]
+        assert found
+        # witnessed by a fresh ring, whose spans see no found monomial
+        assert all(memberships(p, [], found))
+
+    def test_spans_count_found_monomials(self):
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        spans = GradedRing(p).spans(range(p.top_degree + 1))
+        assert [(s.quotient_rank(), s.monomials_found) for s in spans] == [
+            (1, 0), (9, 0), (16, 0), (9, 24), (1, 51)
+        ]
+
+    def test_a_late_span_records_nothing_for_an_enumerated_degree(self):
+        # degree 4's layer was enumerated before degree 3's span was built,
+        # so what that span finds is not taken in: the layers stay consistent
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        ring = GradedRing(p)
+        top = DegreeSpan(ring, 4)
+        assert DegreeSpan(ring, 3).monomials_found == 24
+        assert ring.found(3) == ()
+        assert top.quotient_rank() == DegreeSpan(ring, 4).quotient_rank() == 1
 
 
 class TestBatchedMembership:
