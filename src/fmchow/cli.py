@@ -85,6 +85,23 @@ def _weights_from_json(raw) -> Weights:
         raise UsageError(str(exc)) from None
 
 
+def _geometry(dim, n) -> ProjectiveGeometry:
+    try:
+        return ProjectiveGeometry(dim, n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 class Job:
     """A resolved instance: geometry, large family, provenance dict."""
 
@@ -110,7 +127,7 @@ class Job:
                 family = LargeFamily.closure(n, large_sets)
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
-        self.geom = ProjectiveGeometry(dim, n)
+        self.geom = _geometry(dim, n)
         self.weights = weights
         self.family = family
 
@@ -258,11 +275,13 @@ def cmd_verify(args) -> int:
             else:
                 instances = [(1, 2), (1, 3), (2, 2)]
             for dim, n in instances:
+                _geometry(dim, n)  # a bad instance is a usage error before any run
                 runs.append(partial(check_equivalence, dim, n, args.cap))
         else:
             if args.weights or args.large_sets or getattr(args, "config", None):
                 job = _job_from_args(args)
             elif args.d is not None and args.n is not None:
+                _geometry(args.d, args.n)  # Weights would refuse n < 1 with a ValueError
                 job = Job(args.d, None, Weights((1,) * args.n), None)
             else:
                 job = Job(1, None, Weights((1, 1, 1)), None)
@@ -308,7 +327,7 @@ def _add_instance_flags(sub):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MONOMIAL_CAP,
         help="refuse degrees with more monomials than this",
     )

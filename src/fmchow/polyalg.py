@@ -17,15 +17,15 @@ two monomials is one integer addition.  The top bit of each field is a
 guard bit.  A table of n variables bounds every exponent by its
 `max_exponent`, the largest E below 2**(w-1) with n*E < 2**w - 1, so that
 the exponent sum of a product never carries from one field into the next,
-and the degree of a monomial in degree-1 variables is its packed value
-modulo 2**w - 1.  The table adds one constant to a product monomial that
-sets the guard bit of exactly the fields at or over their cap (the
-exponent bound plus one for an uncapped variable), so the cap test is one
-add-and-mask: a capped field there dies, an uncapped one there is an
-exponent too large for its field and raises StructureError instead of
-wrapping.  Negative or non-integer exponents, and a table whose cap the
-field cannot hold, raise StructureError too.  `Poly.terms`, the exponent
-tuple view, is unpacked on demand.
+and the degree of a monomial, every variable having degree 1, is its
+packed value modulo 2**w - 1.  The table adds one constant to a product
+monomial that sets the guard bit of exactly the fields at or over their
+cap (the exponent bound plus one for an uncapped variable), so the cap
+test is one add-and-mask: a capped field there dies, an uncapped one
+there is an exponent too large for its field and raises StructureError
+instead of wrapping.  Negative or non-integer exponents, and a table whose
+cap the field cannot hold, raise StructureError too.  `Poly.terms`, the
+exponent tuple view, is unpacked on demand.
 
 Canonical text form: terms are joined by " + " / " - " in descending
 order of the monomial key that ranks later variables (divisor variables)
@@ -52,16 +52,16 @@ def divisor_name(s) -> str:
 
 @dataclass(frozen=True)
 class Var:
-    """One ring variable.  `cap` is the vanishing power (v**cap == 0), or
-    None for no cap.  All variables used by this package have degree 1."""
+    """One ring variable, of degree 1.  `cap` is the vanishing power
+    (v**cap == 0), or None for no cap."""
 
     name: str
     degree: int = 1
     cap: Optional[int] = None
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("variable degree must be positive")
+        if self.degree != 1:
+            raise ValueError("every variable has degree 1")
         if self.cap is not None and self.cap < 1:
             raise ValueError("variable cap must be positive")
 
@@ -100,7 +100,6 @@ class VarTable:
             ("_hash", hash(key)),
             ("_caps", tuple(v.cap for v in self.vars)),
             ("_shifts", tuple(range(0, len(self.vars) * w, w))),
-            ("_unit_degrees", all(v.degree == 1 for v in self.vars)),
             ("max_exponent", bound),
             ("_bias", bias),
             ("_guard", guard),
@@ -268,18 +267,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.packed
 
-    def monomial_degree(self, exps) -> int:
-        degs = self.table.vars
-        return sum(e * degs[i].degree for i, e in enumerate(exps))
-
     def homogeneous_degree(self) -> Optional[int]:
         """Total degree if homogeneous (None for the zero polynomial)."""
-        if self.table._unit_degrees:
-            modulus = (1 << FIELD_BITS) - 1
-            degrees = {m % modulus for m in self.packed}
-        else:
-            unpack = self.table.unpack
-            degrees = {self.monomial_degree(unpack(m)) for m in self.packed}
+        modulus = (1 << FIELD_BITS) - 1
+        degrees = {m % modulus for m in self.packed}
         if not degrees:
             return None
         if len(degrees) > 1:

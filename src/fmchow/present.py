@@ -60,6 +60,20 @@ def _mixed_partners(n: int, s) -> list:
     return sorted(out, key=subset_key)
 
 
+def _annihilators(geom: ProjectiveGeometry, table, dvar: dict) -> list:
+    """The overlap products D_S * D_T and the diagonal annihilators g * D_S,
+    for the divisor variables `dvar` of the large sets in order."""
+    members = list(dvar)
+    rels = []
+    for s, t in combinations(members, 2):
+        if is_overlap(s, t):
+            rels.append(dvar[s] * dvar[t])
+    for s in members:
+        for g in diagonal_ideal(geom, s, table):
+            rels.append(g * dvar[s])
+    return rels
+
+
 def chow_presentation(
     geom: ProjectiveGeometry, large: LargeFamily, chain=None
 ) -> Presentation:
@@ -83,13 +97,7 @@ def chow_presentation(
     members = large.sorted_members()
     dvar = {s: Poly.variable(table, divisor_name(s)) for s in members}
     chain_for = chain or (lambda s: sorted(s))
-    rels = []
-    for s, t in combinations(members, 2):
-        if is_overlap(s, t):
-            rels.append(dvar[s] * dvar[t])
-    for s in members:
-        for g in diagonal_ideal(geom, s, table):
-            rels.append(g * dvar[s])
+    rels = _annihilators(geom, table, dvar)
     for s in members:
         c = chern_set(geom, s, table, chain=chain_for(s))
         rels.append(chern_eval(c, divisor_sum(table, large, s)))
@@ -109,15 +117,8 @@ def simplified_presentation(geom: ProjectiveGeometry) -> Presentation:
     """
     large = LargeFamily.all_subsets(geom.n)
     table = geom.table_for(large)
-    members = large.sorted_members()
-    dvar = {s: Poly.variable(table, divisor_name(s)) for s in members}
-    rels = []
-    for s, t in combinations(members, 2):
-        if is_overlap(s, t):
-            rels.append(dvar[s] * dvar[t])
-    for s in members:
-        for g in diagonal_ideal(geom, s, table):
-            rels.append(g * dvar[s])
+    dvar = {s: Poly.variable(table, divisor_name(s)) for s in large.sorted_members()}
+    rels = _annihilators(geom, table, dvar)
     for i, j in combinations(range(1, geom.n + 1), 2):
         pair = frozenset((i, j))
         c = chern_set(geom, pair, table)

@@ -12,28 +12,30 @@ rational membership only -- integral torsion is out of scope.
 
 A degree slice builds no dead column.  The dead columns of degree k are
 the degree-k monomials of a monomial ideal J that lies inside the relation
-ideal I.  J is generated by the single-term relations ("killers") and by
-every monomial that a lower relation span found: a pivot row of one entry
-m, built from relation rows alone, says that c*m is a combination of
-relation multiples modulo the dead columns of its degree, which lie in I
-by induction, so m and each of its multiples at every higher degree lie in
-I.  As J_k lies in I_k, the relation rank of degree k is dim J_k plus the
-rank of the relation rows modulo J_k, and a form lies in the span iff its
-terms on live columns do.  The live columns are J's standard monomials
-under the variable caps, enumerated degree by degree: a degree-d monomial
-is live iff it is not a killer, it is under the caps, and each of its
-degree-(d-1) divisors is live and was not found at degree d-1.  So a
-divisor of a live monomial is live, and a multiple of a dead one is dead.
-Every relation is multiplied only by live monomials: a product with a
-shift in J has every term in J, and its row is zero modulo J_k.  A
-`GradedRing` owns the slices of one presentation.  It counts the full
-basis of each degree by a small DP over the variables, so the monomial cap
-refuses on that count -- all monomials, live or dead -- before anything is
-built; it sorts the relations, enumerates the live monomials of a degree
-once for all its slices, and records what each relation span finds while
-the degree above is not enumerated yet.  Every query walks the spans of a
-ring through `map`, in ascending degree, so one span of a ring is alive at
-a time and each span's columns already exclude what the spans below found.
+ideal I.  J is generated by the monomials known dead at their degree: each
+capped variable's vanishing power x_i^cap, the single-term relations
+("killers"), and every monomial that a lower relation span found.  A pivot
+row of one entry m, built from relation rows alone, says that c*m is a
+combination of relation multiples modulo the dead columns of its degree,
+which lie in I by induction, so m and each of its multiples at every
+higher degree lie in I.  As J_k lies in I_k, the relation rank of degree k
+is dim J_k plus the rank of the relation rows modulo J_k, and a form lies
+in the span iff its terms on live columns do.  The live columns are J's
+standard monomials, enumerated degree by degree by one rule: a degree-d
+monomial is live iff each of its degree-(d-1) divisors is live and it is
+not among the monomials known dead at degree d.  So a divisor of a live
+monomial is live, and a multiple of a dead one is dead.  Every relation is
+multiplied only by live monomials: a product with a shift in J has every
+term in J, and its row is zero modulo J_k.  A `GradedRing` owns the slices
+of one presentation and is the one place that decides which monomials are
+dead.  It counts the full basis of each degree by a small DP over the
+variables, so the monomial cap refuses on that count -- all monomials,
+live or dead -- before anything is built; it sorts the relations,
+enumerates the live monomials of a degree once for all its slices, and
+deletes what each relation span finds from that span's layer while the
+degree above is not enumerated yet.  Every query walks the spans of a ring
+through `map`, in ascending degree, so one span of a ring is alive at a
+time and each span's columns already exclude what the spans below found.
 
 Nor does a slice build a row that an earlier polynomial's leading monomial
 (LM, its largest packed term) covers -- the syzygy criterion of Faugere's
@@ -87,22 +89,13 @@ def _check_degree(p: Presentation, k: int):
         raise ValueError(f"degree {k} outside 0..{p.top_degree}")
 
 
-def _check_variables(p: Presentation):
-    if any(v.degree != 1 for v in p.table.vars):
-        raise ValueError("monomial enumeration supports degree-1 variables only")
-
-
 def monomials_of_degree(p: Presentation, k: int) -> list:
     """All degree-k exponent tuples of the presentation's variables, in
-    ascending canonical order."""
-    _check_variables(p)
+    ascending canonical order: the live monomials of the ring with the same
+    variables and no relations, where only the caps kill."""
     _check_degree(p, k)
-    table = p.table
-    most = _exponent_bounds(table.caps(), table.width)
-    layer = None
-    for d in range(k + 1):
-        layer = _live_layer(d, layer, (), (), most, table.width)
-    return list(map(table.unpack, layer))
+    ring = GradedRing(Presentation(p.table, (), p.top_degree))
+    return list(map(p.table.unpack, ring.live(k)))
 
 
 def _monomial_counts(caps, top: int) -> list:
@@ -122,53 +115,32 @@ def _monomial_counts(caps, top: int) -> list:
     return counts
 
 
-def _exponent_bounds(caps, width: int) -> tuple:
-    """The largest exponent of each variable: its cap less one, or for an
-    uncapped variable one no packed field reaches."""
-    return tuple(1 << width if cap is None else cap - 1 for cap in caps)
+def _live_layer(d: int, below: dict, nvars: int, width: int) -> dict:
+    """Every degree-d monomial in `nvars` variables whose degree-(d-1)
+    divisors all lie in `below`, packed and ascending, each mapped to its
+    support (its variables' indices, ascending).
 
-
-def _live_layer(d: int, below: dict, found, killers, most, width: int) -> dict:
-    """The live monomials of degree d, packed and ascending, each mapped to
-    its support (its variables' indices, ascending).
-
-    `below` is the layer of degree d-1 (None at d = 0), `found` the
-    monomials of degree d-1 found in the ideal, `killers` the packed
-    degree-d killers and `most` the largest exponent of each variable.  A
-    degree-d monomial is live iff it is not a killer, it is under the
-    caps, and each of its degree-(d-1) divisors is in `below` and not in
-    `found`.  It is built once, as q*x_i with x_i its last variable; then
-    the divisor by x_i is q, and the others are tested.  For each i in
-    turn, the q with no variable after x_i are a prefix of `below`, and the
-    products come out ascending.
+    `below` is a layer of degree d-1 (None at d = 0).  A monomial is built
+    once, as q*x_i with x_i its last variable; then the divisor by x_i is q,
+    and the others are tested.  For each i in turn, the q with no variable
+    after x_i are a prefix of `below`, and the products come out ascending.
     """
     if d == 0:
-        return {} if 0 in killers else {0: ()}
-    mask = (1 << width) - 1
-    steps = [1 << (i * width) for i in range(len(most))]
-    if found:
-        alive = below.keys() - found
-        items = [(q, support) for q, support in below.items() if q not in found]
-    else:
-        alive = below
-        items = below.items()
+        return {0: ()}
+    steps = [1 << (i * width) for i in range(nvars)]
     out = {}
     for i, step in enumerate(steps):
-        if not most[i]:
-            continue  # a cap of 1: the variable is zero
         bound = step << width  # the first monomial with a variable after x_i
-        for q, support in items:
+        for q, support in below.items():
             if q >= bound:
                 break
             if support and support[-1] == i:
-                if (q >> (i * width)) & mask >= most[i]:
-                    continue
                 others = support[:-1]
             else:
                 others = support
                 support = support + (i,)
             m = q + step
-            if m not in killers and all(m - steps[j] in alive for j in others):
+            if all(m - steps[j] in below for j in others):
                 out[m] = support
     return out
 
@@ -176,12 +148,13 @@ def _live_layer(d: int, below: dict, found, killers, most, width: int) -> dict:
 class GradedRing:
     """The one owner of a presentation's degree slices and of what they share:
     the monomial counts, made at once for the cap check, then on first use the
-    killers, the other relations' packed terms, each degree's live monomials
-    and the monomials each relation span found.  Packed monomials are those of
-    the presentation's table."""
+    monomials known dead at each degree, the other relations' packed terms
+    and each degree's live monomials.  It alone decides which monomials are
+    dead, by deleting them from its stored live layers: the killers when a
+    layer is enumerated, and what a relation span finds once its rows are
+    in.  Packed monomials are those of the presentation's table."""
 
     def __init__(self, p: Presentation):
-        _check_variables(p)
         self.presentation = p
         self.width = p.table.width
         if p.top_degree >> self.width:
@@ -190,7 +163,6 @@ class GradedRing:
             )
         self.counts = _monomial_counts(p.table.caps(), p.top_degree)  # live or dead
         self._live = []  # live layer of each degree enumerated so far, ascending
-        self._found = {}  # degree -> monomials a relation span found in the ideal
 
     def spans(self, degrees, monomial_cap: int = None):
         """Raise SizeCapError at the first of `degrees` with more monomials,
@@ -208,16 +180,17 @@ class GradedRing:
 
     @cached_property
     def _killers(self) -> dict:
-        """Degree -> the packed single-term relations of that degree."""
+        """Degree -> the packed monomials known dead at that degree before
+        any span is built: each capped variable's power x_i^cap, and the
+        single-term relations."""
         killers = {}
+        for i, cap in enumerate(self.presentation.table.caps()):
+            if cap is not None:
+                killers.setdefault(cap, set()).add(cap << (i * self.width))
         for r in self.presentation.relations:
             if len(r.packed) == 1:
                 killers.setdefault(r.homogeneous_degree(), set()).update(r.packed)
         return killers
-
-    @cached_property
-    def _most(self) -> tuple:
-        return _exponent_bounds(self.presentation.table.caps(), self.width)
 
     @cached_property
     def packed_relations(self) -> list:
@@ -227,27 +200,27 @@ class GradedRing:
     def live(self, d: int) -> dict:
         """The live degree-d monomials (see the module docstring), packed
         and ascending, each mapped to its support; every degree below is
-        enumerated first, once."""
+        enumerated first, once.  A layer is the divisor-closed extension of
+        the one below, less what `_killers` lists at its degree."""
         layers = self._live
+        nvars = len(self.presentation.table)
         while len(layers) <= d:
             e = len(layers)
-            below = layers[-1] if layers else None
-            found = self._found.get(e - 1, ())
-            killers = self._killers.get(e, ())
-            layers.append(_live_layer(e, below, found, killers, self._most, self.width))
+            layer = _live_layer(e, layers[-1] if layers else None, nvars, self.width)
+            for m in self._killers.get(e, ()):
+                layer.pop(m, None)
+            layers.append(layer)
         return layers[d]
 
-    def found(self, k: int) -> tuple:
-        """The packed degree-k monomials that relation spans of this ring
-        found in the ideal and the live columns above exclude, ascending."""
-        return tuple(sorted(self._found.get(k, ())))
-
     def _record_found(self, k: int, monomials):
-        """Take in monomials a degree-k relation span found, unless degree
-        k+1 is enumerated already: its layer excludes only what was found
-        before it, and so, by their divisors, do the layers above."""
-        if monomials and len(self._live) <= k + 1:
-            self._found.setdefault(k, set()).update(monomials)
+        """Delete monomials a degree-k relation span found from the stored
+        layer k, unless degree k+1 is enumerated already: the layers above
+        then fail the divisor test at the found monomials' multiples, while
+        a layer built before would keep them."""
+        if len(self._live) <= k + 1:
+            layer = self._live[k]
+            for m in monomials:
+                del layer[m]
 
     def packed_terms(self, poly: Poly) -> list:
         """(packed monomial, coefficient) pairs of a polynomial, ascending.
@@ -267,14 +240,14 @@ class GradedRing:
 class DegreeSpan:
     """The degree-k slice of a presented ring: its live columns and the
     row span of relation multiples over them, held in an incremental
-    echelon form; its `GradedRing` owns what the slices share.  The
-    multiples of killers and of the monomials lower relation spans found
-    are dead columns, and a relation multiple whose shift an earlier lead
-    divides is skipped (the F5 criterion; see the module docstring).  Once
-    the relation rows are in, each pivot of one entry is a monomial found
-    in the ideal, which the ring passes on to the spans above.  The leads
-    stay on the span, so extra generators inserted afterwards (ideal
-    generators) are pruned by the relations' leads too; single rows
+    echelon form; its `GradedRing` owns what the slices share.  Its
+    columns are the ring's live layer of degree k, so the monomials the
+    ring knows dead are no columns, and a relation multiple whose shift an
+    earlier lead divides is skipped (the F5 criterion; see the module
+    docstring).  Once the relation rows are in, each pivot of one entry is
+    a monomial found in the ideal, which the ring deletes from its layer.
+    The leads stay on the span, so extra generators inserted afterwards
+    (ideal generators) are pruned by the relations' leads too; single rows
     (mapped classes) can be inserted as well.  The full basis is counted,
     not built; `monomials` lists it on first use.  Ranks always refer to
     the full column space.
@@ -310,9 +283,8 @@ class DegreeSpan:
 
     @property
     def alive_monomials(self) -> tuple:
-        """Basis monomials that neither a killer nor a monomial found by a
-        lower relation span of the ring divides, in column order: the
-        columns of the echelon."""
+        """The ring's live degree-k monomials when the span was built, in
+        column order: the columns of the echelon."""
         return tuple(map(self.presentation.table.unpack, self._alive_index))
 
     @property

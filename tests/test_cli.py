@@ -205,6 +205,34 @@ class TestVerify:
         assert len(names) >= 4
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ranks", "--d", "0", "--weights", "1,1"],
+            ["ranks", "--d", "-1", "--weights", "1,1"],
+            ["verify", "equivalence", "--d", "1", "--n", "0"],
+            ["verify", "construction", "--d", "1", "--n", "0"],
+            ["ranks", "--d", "1", "--weights", "1,1", "--cap", "-5"],
+            ["ranks", "--d", "1", "--weights", "1,1", "--cap", "0"],
+        ],
+    )
+    def test_bad_dimension_or_cap_exits_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_bad_equivalence_instance_stops_before_any_scenario(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a scenario ran before the bad instance was refused")
+
+        monkeypatch.setattr(fmchow.cli, "check_counterexample", never)
+        out = tmp_path / "out"
+        argv = ["verify", "counterexample", "equivalence", "--d", "0", "--n", "2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_present_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
