@@ -69,6 +69,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _weights_from_json(raw) -> Weights:
+    if not isinstance(raw, list):
+        raise UsageError(f"config 'weights' must be a list, not {raw!r}")
     values = []
     for item in raw:
         if isinstance(item, float):
@@ -145,22 +147,44 @@ class Job:
         return self.family.members == LargeFamily.all_subsets(self.geom.n).members
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_int(obj: dict, key: str):
+    """The integer at `key` of a config object, or None when it is absent."""
+    value = obj.get(key)
+    if value is not None and not _is_json_int(value):
+        raise UsageError(f"config {key!r} must be an integer, not {value!r}")
+    return value
+
+
+def _large_sets_from_json(raw) -> list:
+    if not isinstance(raw, list) or not all(
+        isinstance(group, list) and all(map(_is_json_int, group)) for group in raw
+    ):
+        raise UsageError(f"config 'large_sets' must be a list of integer lists, not {raw!r}")
+    return [frozenset(group) for group in raw]
+
+
 def _job_from_args(args) -> Job:
     dim = n = None
     weights = large_sets = None
     if getattr(args, "config", None):
         raw = _load_config_file(args.config)
-        base = raw.get("base", {})
+        base = raw.get("base", {}) if isinstance(raw, dict) else None
+        if not isinstance(base, dict):
+            raise UsageError("a config is a JSON object whose 'base' is an object")
         if base.get("kind", "projective") != "projective":
             raise UsageError("only projective bases are supported")
-        dim = base.get("dim")
-        n = raw.get("n")
+        dim = _config_int(base, "dim")
+        n = _config_int(raw, "n")
         if raw.get("weights") is not None and raw.get("large_sets") is not None:
             raise UsageError("config gives both weights and large_sets")
         if raw.get("weights") is not None:
             weights = _weights_from_json(raw["weights"])
         if raw.get("large_sets") is not None:
-            large_sets = [frozenset(s) for s in raw["large_sets"]]
+            large_sets = _large_sets_from_json(raw["large_sets"])
     if getattr(args, "d", None) is not None:
         dim = args.d
     if getattr(args, "n", None) is not None:
@@ -256,6 +280,17 @@ def cmd_ranks(args) -> int:
     return 0 if agree else 1
 
 
+def _flag_instance(args, scenario: str):
+    """(--d, --n), or None when neither is given.  One without the other is
+    refused, rather than a default instance checked in its place."""
+    if args.d is None and args.n is None:
+        return None
+    if args.d is None or args.n is None:
+        given, missing = ("--d", "--n") if args.n is None else ("--n", "--d")
+        raise UsageError(f"the {scenario} scenario got {given} without {missing}")
+    return args.d, args.n
+
+
 def cmd_verify(args) -> int:
     names = args.scenarios or ["counterexample", "equivalence", "construction"]
     known = {"counterexample", "equivalence", "construction"}
@@ -270,17 +305,15 @@ def cmd_verify(args) -> int:
         if name == "counterexample":
             runs.append(partial(check_counterexample, args.cap))
         elif name == "equivalence":
-            if args.d is not None and args.n is not None:
-                instances = [(args.d, args.n)]
-            else:
-                instances = [(1, 2), (1, 3), (2, 2)]
+            flagged = _flag_instance(args, name)
+            instances = [flagged] if flagged else [(1, 2), (1, 3), (2, 2)]
             for dim, n in instances:
                 _geometry(dim, n)  # a bad instance is a usage error before any run
                 runs.append(partial(check_equivalence, dim, n, args.cap))
         else:
             if args.weights or args.large_sets or getattr(args, "config", None):
                 job = _job_from_args(args)
-            elif args.d is not None and args.n is not None:
+            elif _flag_instance(args, name):
                 _geometry(args.d, args.n)  # Weights would refuse n < 1 with a ValueError
                 job = Job(args.d, None, Weights((1,) * args.n), None)
             else:

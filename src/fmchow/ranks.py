@@ -37,22 +37,63 @@ degree above is not enumerated yet.  Every query walks the spans of a ring
 through `map`, in ascending degree, so one span of a ring is alive at a
 time and each span's columns already exclude what the spans below found.
 
-Nor does a slice build a row that an earlier polynomial's leading monomial
-(LM, its largest packed term) covers -- the syzygy criterion of Faugere's
-F5.  The polynomials are taken sparse first, and m*f_j is skipped when
-LM(f_i) divides m for some earlier f_i.  Writing m = LM(f_i)*m',
+Nor does a slice build a row that is bound to lie in the span of the rows
+before it.  It inserts its relation rows in signature order: the relations
+f_1, f_2, ... in `packed_relations` order (sparse first), and the live
+shifts of one relation ascending.  The row m*f_j has the signature (j, m),
+compared by j and then by m as a packed integer.  That order on monomials
+is lex, and it is a monomial order, since the packed fields never carry:
+m < m' gives q*m < q*m'.  A row is skipped by either of two criteria, and
+each writes it as a combination of rows of smaller signature, modulo the
+dead columns J_k:
 
-    m*f_j = m'*f_j*f_i - m'*tail(f_i)*f_j,
+  * The lead criterion (the syzygy criterion of Faugere's F5): the leading
+    monomial (LM, the largest packed term) of an earlier f_i divides m.
+    Writing m = LM(f_i)*m',
 
-the first part is a combination of rows of f_i, in the span by induction
-over the list of polynomials, and the second a combination of rows of f_j
-at shifts below m, in the span by induction over the shifts.  The identity
-holds in R/J just as in R, and there a multiple at a dead shift is zero,
-so each row the two parts need is built, skipped by the same induction,
-or zero.  As a divisor of a live monomial is live, the live shifts a lead
-covers are the lead times the live monomials of the remaining degree.
-Dead columns and caps only drop terms from these rows, so the span, and
-every rank, is exactly that of all the multiples.
+        m*f_j = m'*f_j*f_i - m'*tail(f_i)*f_j,
+
+    the first part is a combination of rows of f_i, whose signatures
+    (i, .) have i < j, and the second a combination of rows of f_j at
+    shifts below m.
+  * The syzygy criterion (F5's rewritten criterion; Gao, Volny and Wang's
+    signature-based Groebner bases): m = q*s for a recorded zero signature
+    (j, s).  A relation row s*f_j of some degree e that reduces to zero is a
+    syzygy.  Only rows of smaller signature went in before it, so its
+    reduction to zero says
+
+        s*f_j = sum of c*s'*f_i over (i, s') < (j, s), modulo J_e.
+
+    The ring records (j, s).  Multiplied by q, the identity writes m*f_j
+    through the rows q*s'*f_i, whose signatures (i, q*s') are still below
+    (j, q*s), modulo q*J_e.  And q*J_e lies in J_k: the ring only deletes
+    monomials from a layer, a layer is frozen once the next is enumerated,
+    and each layer is the divisor-closed extension of the one below, less
+    what is dead at its degree, so a multiple of a monomial ever dead at
+    degree e is dead above it.
+
+By induction over the signatures, every multiple of degree k lies in the
+span of the built rows of signature up to its own, modulo J_k: a multiple
+at a dead shift has every term dead, a built row lies there, and a skipped
+row is a combination of rows of smaller signature.  So the span, and every
+rank, is exactly that of all the multiples.  As a divisor of a live
+monomial is live, the live degree-e shifts that a lead or a zero
+signature's shift of degree d covers are it times the live monomials of
+degree e - d.  An equal row is not filtered out: it reduces to zero and
+is recorded like any other.
+
+The order is what makes the syzygy criterion sound.  Rows inserted
+shortest first reduce to zero against rows of any signature.  A recorded identity may then use a row of larger signature,
+whose multiple is skipped by another identity that uses the first row's
+multiple: the two skips vouch for each other, and neither row is in the
+span.  Recording zero rows under that order made the top degree of (1,4)
+all-large 8 instead of 1.
+
+Extra generators (`insert_products`) follow the relations in the same
+order, pruned by every lead before theirs.  Their zero rows are not
+recorded on the ring, as a query's generators are not the ring's.  Nor
+is an empty relation row, whose terms all lie on dead columns: it is a
+syzygy too, but recording it grows the covered shifts more than it saves.
 
 Monomials in a slice are the packed integers of `Poly` itself, so a
 relation's terms go into rows as they are.  The field width comes from the
@@ -152,7 +193,10 @@ class GradedRing:
     and each degree's live monomials.  It alone decides which monomials are
     dead, by deleting them from its stored live layers: the killers when a
     layer is enumerated, and what a relation span finds once its rows are
-    in.  Packed monomials are those of the presentation's table."""
+    in.  It also records the signature (relation, shift) of every relation
+    row that reduced to zero in a span, and each span skips that relation
+    at the shift's multiples (see the module docstring).  Packed monomials
+    are those of the presentation's table."""
 
     def __init__(self, p: Presentation):
         self.presentation = p
@@ -191,6 +235,13 @@ class GradedRing:
             if len(r.packed) == 1:
                 killers.setdefault(r.homogeneous_degree(), set()).update(r.packed)
         return killers
+
+    @cached_property
+    def _syzygies(self) -> list:
+        """One list per packed relation of the (shift degree, packed shift)
+        of its rows that reduced to zero in a span (see the module
+        docstring): every span skips the relation at their multiples."""
+        return [[] for _ in self.packed_relations]
 
     @cached_property
     def packed_relations(self) -> list:
@@ -242,15 +293,17 @@ class DegreeSpan:
     row span of relation multiples over them, held in an incremental
     echelon form; its `GradedRing` owns what the slices share.  Its
     columns are the ring's live layer of degree k, so the monomials the
-    ring knows dead are no columns, and a relation multiple whose shift an
-    earlier lead divides is skipped (the F5 criterion; see the module
-    docstring).  Once the relation rows are in, each pivot of one entry is
-    a monomial found in the ideal, which the ring deletes from its layer.
-    The leads stay on the span, so extra generators inserted afterwards
-    (ideal generators) are pruned by the relations' leads too; single rows
-    (mapped classes) can be inserted as well.  The full basis is counted,
-    not built; `monomials` lists it on first use.  Ranks always refer to
-    the full column space.
+    ring knows dead are no columns.  Relation rows go in in signature
+    order, and a multiple is skipped when an earlier lead divides its
+    shift, or a zero signature the ring recorded for its relation does
+    (see the module docstring); each relation row here that reduces to
+    zero is recorded in turn.  Once the relation rows are in, each pivot
+    of one entry is a monomial found in the ideal, which the ring deletes
+    from its layer.  The leads stay on the span, so extra generators
+    inserted afterwards (ideal generators) are pruned by the relations'
+    leads too; single rows (mapped classes) can be inserted as well.  The
+    full basis is counted, not built; `monomials` lists it on first use.
+    Ranks always refer to the full column space.
     """
 
     def __init__(self, ring: GradedRing, k: int):
@@ -263,11 +316,12 @@ class DegreeSpan:
         self._alive_index = {m: i for i, m in enumerate(alive)}
         self._dead = self._count - len(alive)
         self._leads = []  # (degree, packed leading monomial), in insertion order
-        self._covered = {}  # shift degree -> (covered live shifts, leads taken in)
+        self._covered = {}  # shift degree -> (shifts a lead divides, leads taken in)
         self._rows_inserted = 0
         self._products_skipped = 0
+        self._syzygies_found = 0
         self._ech = Echelon(len(alive))
-        self._insert_products(ring.packed_relations)
+        self._insert_products(ring.packed_relations, ring._syzygies)
         self._relation_rank = self._dead + self._ech.rank
         units = self._ech.unit_columns()
         self._monomials_found = len(units)
@@ -289,14 +343,24 @@ class DegreeSpan:
 
     @property
     def rows_inserted(self) -> int:
-        """Rows handed to the echelon so far, relation multiples included;
-        equal multiples are handed over once."""
+        """Rows handed to the echelon so far, relation multiples included.
+        It depends on the insertion order, as the skips do."""
         return self._rows_inserted
 
     @property
     def products_skipped(self) -> int:
-        """Multiples not built because an earlier lead divides the shift."""
+        """Multiples not built because an earlier lead or a recorded zero
+        signature of their polynomial divides the shift.  It depends on the
+        insertion order, which decides the leads before a polynomial and
+        the rows that reduce to zero."""
         return self._products_skipped
+
+    @property
+    def syzygies_found(self) -> int:
+        """Relation rows of this span that reduced to zero, each recorded
+        on the ring as a syzygy whose multiples the spans above skip.  It
+        depends on the insertion order, as `products_skipped` does."""
+        return self._syzygies_found
 
     @property
     def monomials_found(self) -> int:
@@ -318,41 +382,49 @@ class DegreeSpan:
                 coeffs.append(c)
         return cols, coeffs
 
+    def _multiples(self, divisors, e: int) -> set:
+        """Degree-e multiples of packed (degree, monomial) divisors that may
+        be live.  A divisor of a live monomial is live, so m * live(e - deg m)
+        holds every live multiple of m."""
+        live = self.ring.live
+        return {m + q for d, m in divisors if d <= e for q in live(e - d)}
+
     def _covered_of(self, e: int) -> set:
-        """Live degree-e shifts divisible by a lead so far.  A divisor of a
-        live monomial is live, so lead * live(e - deg lead) finds them all.
-        Each set takes in only the leads added since it was last asked for."""
+        """Degree-e shifts divisible by a lead so far.  Each set takes in
+        only the leads added since it was last asked for."""
         covered, seen = self._covered.get(e, (set(), 0))
-        for d, lead in self._leads[seen:]:
-            if d <= e:
-                covered.update(lead + q for q in self.ring.live(e - d))
+        covered.update(self._multiples(self._leads[seen:], e))
         self._covered[e] = (covered, len(self._leads))
         return covered
 
-    def _insert_products(self, packed):
-        rows = []
-        for dg, terms in packed:
+    def _insert_products(self, packed, syzygies=None):
+        """Insert the live multiples of packed polynomials in signature
+        order: the polynomials in turn, each one's shifts ascending.  A
+        shift is skipped when an earlier polynomial's lead divides it, or
+        the shift of one of the polynomial's recorded zero rows does (see
+        the module docstring).  `syzygies` is the ring's record, one list
+        of (shift degree, shift) per polynomial, and a row that reduces to
+        zero is appended to its list; extra generators pass None and record
+        nothing, as a query's generators are not the ring's."""
+        insert = self._ech.insert
+        for j, (dg, terms) in enumerate(packed):
             if dg > self.degree:
                 continue
-            live = self.ring.live(self.degree - dg)
-            covered = self._covered_of(self.degree - dg)
-            shifts = [m for m in live if m not in covered]
+            e = self.degree - dg
+            zeros = None if syzygies is None else syzygies[j]
+            covered = self._covered_of(e)
+            own = self._multiples(zeros, e) if zeros else ()
+            live = self.ring.live(e)
+            shifts = [m for m in live if m not in covered and m not in own]
             self._products_skipped += len(live) - len(shifts)
             for shift in shifts:
                 cols, coeffs = self._row(terms, shift)
                 if cols:
-                    rows.append((cols, coeffs))
+                    self._rows_inserted += 1
+                    if not insert(cols, coeffs) and zeros is not None:
+                        zeros.append((e, shift))
+                        self._syzygies_found += 1
             self._leads.append((dg, terms[-1][0]))
-        rows.sort(key=lambda row: (len(row[0]), row[0], row[1]))
-        insert = self._ech.insert
-        inserted = 0
-        last = None
-        for row in rows:
-            if row != last:  # equal rows are adjacent once sorted
-                insert(*row)
-                inserted += 1
-                last = row
-        self._rows_inserted += inserted
 
     def vector(self, poly: Poly):
         terms = self.ring.packed_terms(poly)

@@ -232,6 +232,42 @@ class TestUsageErrors:
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--d", "3"], ["--n", "3"]])
+    @pytest.mark.parametrize("scenario", ["equivalence", "construction"])
+    def test_lone_d_or_n_stops_before_any_scenario(self, tmp_path, monkeypatch, scenario, flag):
+        # a default instance must not run in place of the one half asked for
+        def never(*args, **kwargs):
+            raise AssertionError("a scenario ran before the lone flag was refused")
+
+        for check in ("check_counterexample", "check_equivalence", "check_construction"):
+            monkeypatch.setattr(fmchow.cli, check, never)
+        out = tmp_path / "out"
+        argv = ["verify", "counterexample", scenario, *flag]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"base": {"dim": "2"}, "weights": ["1", "1"]},
+            {"base": {"dim": True}, "weights": ["1", "1"]},
+            {"base": {"dim": 1.0}, "weights": ["1", "1"]},
+            {"base": {"dim": 1}, "n": "3", "large_sets": [[1, 2]]},
+            {"base": {"dim": 1}, "n": 2.0, "large_sets": [[1, 2]]},
+            {"base": {"dim": 1}, "n": 3, "large_sets": [1, 2]},
+            {"base": {"dim": 1}, "n": 3, "large_sets": [[1, True]]},
+            {"base": {"dim": 1}, "weights": 5},
+            {"base": 1, "weights": ["1", "1"]},
+            ["1", "1"],
+        ],
+    )
+    def test_mistyped_config_exits_2(self, tmp_path, config):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["ranks", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_present_is_byte_identical(self, tmp_path):

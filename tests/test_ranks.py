@@ -283,13 +283,29 @@ class TestGradedRanks:
         expected = [1, 15, 67, 144, 182, 144, 67, 15, 1]
         assert graded_ranks(p, monomial_cap=None) == rank_oracle(2, 4, family) == expected
 
+    def test_reach_of_five_points_on_the_line_agrees_with_oracle(self):
+        # (1,5) all-large: 297,662 monomials at top degree, 14,632 live
+        family = LargeFamily.all_subsets(5)
+        p = chow_presentation(ProjectiveGeometry(1, 5), family)
+        expected = [1, 21, 67, 67, 21, 1]
+        assert graded_ranks(p, monomial_cap=None) == rank_oracle(1, 5, family) == expected
+
     def test_spans_count_rows_and_skipped_multiples(self):
         # without the criterion, every live multiple gives 5,585 rows
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = [DegreeSpan(GradedRing(p), k) for k in range(p.top_degree + 1)]
         assert [s.quotient_rank() for s in spans] == [1, 9, 16, 9, 1]
-        assert [s.rows_inserted for s in spans] == [0, 6, 106, 639, 1855]
+        assert [s.rows_inserted for s in spans] == [0, 6, 142, 908, 2739]
         assert any(s.products_skipped > 0 for s in spans)
+
+    def test_syzygies_climb_the_degrees_of_a_shared_ring(self):
+        # the zero relation rows a span records skip their multiples in the
+        # spans above it: on the fresh rings above, degrees 3 and 4 insert
+        # 908 and 2,739 rows
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        spans = GradedRing(p).spans(range(p.top_degree + 1))
+        counts = [(s.rows_inserted, s.products_skipped, s.syzygies_found) for s in spans]
+        assert counts == [(0, 0, 0), (6, 0, 0), (142, 5, 72), (420, 784, 139), (612, 5126, 31)]
 
     def test_live_monomials_are_enumerated_once_per_slice(self, monkeypatch):
         # the spans of one ring share each degree's live monomials, as
@@ -621,6 +637,19 @@ class TestFoundMonomials:
         for span in GradedRing(p).spans(range(p.top_degree + 1)):
             check_span_against_dense(span, p, extra, gens, data)
 
+    @settings(deadline=None, max_examples=100)
+    @given(low_binomial_presentations(), st.data())
+    def test_syzygies_skip_a_degree_with_no_span(self, p, data):
+        # the zero rows of a span at degree k prune the span at k + 2, with
+        # no span built at k + 1 between them; a relation given twice makes
+        # a zero row at its degree
+        p, extra, gens = dense_forms(data, p, st.integers(0, 2))
+        twice = data.draw(st.sampled_from(p.relations)) * 2
+        p = Presentation(p.table, list(p.relations) + [twice], p.top_degree)
+        k = data.draw(st.integers(0, p.top_degree - 2))
+        for span in GradedRing(p).spans([k, k + 2]):
+            check_span_against_dense(span, p, extra, gens, data)
+
     @pytest.mark.parametrize("dim, weights", [(1, ("1",) * 4), (2, ("1/2",) * 4)])
     def test_found_monomials_are_members_and_bound_the_live_columns(self, dim, weights):
         family = LargeFamily.from_weights(Weights.from_strings(weights))
@@ -644,7 +673,7 @@ class TestFoundMonomials:
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         assert [(s.quotient_rank(), s.monomials_found) for s in spans] == [
-            (1, 0), (9, 0), (16, 0), (9, 24), (1, 51)
+            (1, 0), (9, 0), (16, 0), (9, 17), (1, 66)
         ]
 
     def test_a_late_span_records_nothing_for_an_enumerated_degree(self):
@@ -654,7 +683,7 @@ class TestFoundMonomials:
         ring = GradedRing(p)
         top = DegreeSpan(ring, 4)
         late = DegreeSpan(ring, 3)
-        assert late.monomials_found == 24
+        assert late.monomials_found == 17
         assert late.alive_monomials == tuple(map(p.table.unpack, ring.live(3)))
         assert top.quotient_rank() == DegreeSpan(ring, 4).quotient_rank() == 1
 
