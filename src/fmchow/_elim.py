@@ -119,6 +119,12 @@ class Echelon:
         cols, _ = self.reduce(cols, coeffs)
         return not cols
 
+    @property
+    def pivot_columns(self):
+        """The columns that lead a pivot row, as a read-only view that
+        follows later inserts."""
+        return self._pivots.keys()
+
     def unit_columns(self):
         """Columns whose pivot row has a single entry: the unit vector of
         each lies in the span."""

@@ -297,6 +297,18 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in known:
             raise UsageError(f"unknown scenario {name!r}; known: {sorted(known)}")
+    if set(names) == {"counterexample"}:
+        flags = {
+            "--d": args.d,
+            "--n": args.n,
+            "--weights": args.weights,
+            "--large-sets": args.large_sets,
+            "--config": args.config,
+        }
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            # its instance is fixed: a flag would be dropped without a word
+            raise UsageError(f"the counterexample scenario takes no {', '.join(given)}")
     # Resolve every scenario's instance, and enumerate the walks when all
     # are asked for, before the first scenario runs: a usage error or a
     # walk-cap refusal then comes before any rank work.

@@ -83,11 +83,12 @@ degree e - d.  An equal row is not filtered out: it reduces to zero and
 is recorded like any other.
 
 The order is what makes the syzygy criterion sound.  Rows inserted
-shortest first reduce to zero against rows of any signature.  A recorded identity may then use a row of larger signature,
-whose multiple is skipped by another identity that uses the first row's
-multiple: the two skips vouch for each other, and neither row is in the
-span.  Recording zero rows under that order made the top degree of (1,4)
-all-large 8 instead of 1.
+shortest first reduce to zero against rows of any signature.  A recorded
+identity may then use a row of larger signature, whose multiple is skipped
+by another identity that uses the first row's multiple: the two skips
+vouch for each other, and neither row is in the span.  Recording zero
+rows under that order made the top degree of (1,4) all-large 8 instead
+of 1.
 
 Extra generators (`insert_products`) follow the relations in the same
 order, pruned by every lead before theirs.  Their zero rows are not
@@ -104,6 +105,19 @@ monomial is at most k < 2**w, so the product of a relation term and a shift
 whose degrees add up to k is one integer addition that never carries from
 one field into the next.  A product term over a variable cap, or on a dead
 column, is absent from the index of live columns and is dropped there.
+
+A slice's columns run the other way: column 0 is its largest live
+monomial.  The echelon pivots a row on its first column, which is then the
+row's leading monomial, the one both criteria are stated for.  Relation
+terms are kept in descending order, leading monomial first, so a row's
+columns come out ascending as they are.  Nothing above depends on the
+column order: a zero row and a pivot of one entry mean the same under any
+order, so every rank and answer is the same under each; only which
+monomials are found, and how much reduction a row takes, vary with it.
+Under this order a pivot row, which lies in the span, leads with its first
+column, so the live columns without a pivot are the standard monomials of
+the span, those that lead none of its elements: the dead ones all lie in
+it.
 
 The oracle (`rank_oracle`) never touches polynomials: it walks the large
 family superset-first and applies the additive rank decomposition of a
@@ -274,16 +288,17 @@ class GradedRing:
                 del layer[m]
 
     def packed_terms(self, poly: Poly) -> list:
-        """(packed monomial, coefficient) pairs of a polynomial, ascending.
+        """(packed monomial, coefficient) pairs of a polynomial, descending:
+        the first term is the leading monomial.
         Raises StructureError for a polynomial over another table, whose
         packed fields would be read as the wrong variables."""
         if poly.table != self.presentation.table:
             raise StructureError("polynomial over a different variable table than the presentation")
-        return sorted(poly.packed.items())
+        return sorted(poly.packed.items(), reverse=True)
 
     def packed_polys(self, polys) -> list:
         """(degree, packed terms) of each nonzero polynomial, sparse first
-        (stable); the last term is the leading monomial."""
+        (stable); the first term is the leading monomial."""
         polys = sorted((g for g in polys if not g.is_zero()), key=lambda g: len(g.packed))
         return [(g.homogeneous_degree(), self.packed_terms(g)) for g in polys]
 
@@ -292,8 +307,9 @@ class DegreeSpan:
     """The degree-k slice of a presented ring: its live columns and the
     row span of relation multiples over them, held in an incremental
     echelon form; its `GradedRing` owns what the slices share.  Its
-    columns are the ring's live layer of degree k, so the monomials the
-    ring knows dead are no columns.  Relation rows go in in signature
+    columns are the ring's live layer of degree k, largest first, so each
+    row is pivoted on its leading monomial, and the monomials the ring
+    knows dead are no columns.  Relation rows go in in signature
     order, and a multiple is skipped when an earlier lead divides its
     shift, or a zero signature the ring recorded for its relation does
     (see the module docstring); each relation row here that reduces to
@@ -313,7 +329,8 @@ class DegreeSpan:
         _check_degree(ring.presentation, k)
         self._count = ring.counts[k]
         alive = ring.live(k)
-        self._alive_index = {m: i for i, m in enumerate(alive)}
+        # descending: column 0 is the largest live monomial
+        self._alive_index = {m: i for i, m in enumerate(reversed(alive))}
         self._dead = self._count - len(alive)
         self._leads = []  # (degree, packed leading monomial), in insertion order
         self._covered = {}  # shift degree -> (shifts a lead divides, leads taken in)
@@ -326,7 +343,7 @@ class DegreeSpan:
         units = self._ech.unit_columns()
         self._monomials_found = len(units)
         if units:
-            columns = list(alive)
+            columns = list(self._alive_index)
             ring._record_found(k, [columns[c] for c in units])
 
     @cached_property
@@ -338,8 +355,20 @@ class DegreeSpan:
     @property
     def alive_monomials(self) -> tuple:
         """The ring's live degree-k monomials when the span was built, in
-        column order: the columns of the echelon."""
-        return tuple(map(self.presentation.table.unpack, self._alive_index))
+        ascending canonical order: the columns of the echelon, last first."""
+        return tuple(map(self.presentation.table.unpack, reversed(self._alive_index)))
+
+    @property
+    def standard_monomials(self) -> tuple:
+        """The live monomials with no pivot, in ascending canonical order:
+        the degree-k monomials that lead no element of the span, as every
+        dead monomial lies in it.  There are `quotient_rank()` of them in a
+        relation span, and as many as the full count less `span_rank()`
+        after further inserts."""
+        pivots = self._ech.pivot_columns
+        index = self._alive_index
+        unpack = self.presentation.table.unpack
+        return tuple(unpack(m) for m in reversed(index) if index[m] not in pivots)
 
     @property
     def rows_inserted(self) -> int:
@@ -371,7 +400,8 @@ class DegreeSpan:
     def _row(self, terms, shift: int = 0):
         """Coefficient row of packed terms times a packed monomial shift
         over the live columns, as parallel (cols, coeffs) lists.  The cols
-        ascend because the terms do and the live index is monotone."""
+        ascend because the terms descend and the live index reverses the
+        packed order."""
         index = self._alive_index
         cols = []
         coeffs = []
@@ -424,7 +454,7 @@ class DegreeSpan:
                     if not insert(cols, coeffs) and zeros is not None:
                         zeros.append((e, shift))
                         self._syzygies_found += 1
-            self._leads.append((dg, terms[-1][0]))
+            self._leads.append((dg, terms[0][0]))
 
     def vector(self, poly: Poly):
         terms = self.ring.packed_terms(poly)

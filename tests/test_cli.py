@@ -247,6 +247,26 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--d", "3"],
+            ["--n", "3"],
+            ["--weights", "1,1,1"],
+            ["--large-sets", "1,2"],
+            ["--config", "c.json"],
+        ],
+    )
+    def test_counterexample_alone_refuses_instance_flags(self, tmp_path, monkeypatch, flag):
+        # its instance is fixed, so a flag would be dropped without a word
+        def never(*args, **kwargs):
+            raise AssertionError("the counterexample ran in spite of an instance flag")
+
+        monkeypatch.setattr(fmchow.cli, "check_counterexample", never)
+        out = tmp_path / "out"
+        assert main(["verify", "counterexample", *flag, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "config",
         [
             {"base": {"dim": "2"}, "weights": ["1", "1"]},

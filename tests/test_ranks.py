@@ -40,11 +40,13 @@ def blown_up_p3():
     return Presentation(table, rels, 3), h, e
 
 
-def dense_rank(rows, ncols):
-    """Independent oracle: plain Gaussian elimination over Fractions."""
+def dense_pivot_columns(rows, ncols):
+    """Independent oracle: plain Gaussian elimination over Fractions, column
+    by column from the first; the columns that get a pivot, ascending."""
     mat = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
@@ -55,8 +57,12 @@ def dense_rank(rows, ncols):
             if i != rank and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def dense_rank(rows, ncols):
+    return len(dense_pivot_columns(rows, ncols))
 
 
 class MergeEchelon:
@@ -305,7 +311,7 @@ class TestGradedRanks:
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         counts = [(s.rows_inserted, s.products_skipped, s.syzygies_found) for s in spans]
-        assert counts == [(0, 0, 0), (6, 0, 0), (142, 5, 72), (420, 784, 139), (612, 5126, 31)]
+        assert counts == [(0, 0, 0), (6, 0, 0), (142, 5, 72), (420, 784, 139), (584, 5126, 2)]
 
     def test_live_monomials_are_enumerated_once_per_slice(self, monkeypatch):
         # the spans of one ring share each degree's live monomials, as
@@ -673,7 +679,7 @@ class TestFoundMonomials:
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         assert [(s.quotient_rank(), s.monomials_found) for s in spans] == [
-            (1, 0), (9, 0), (16, 0), (9, 17), (1, 66)
+            (1, 0), (9, 0), (16, 0), (9, 17), (1, 46)
         ]
 
     def test_a_late_span_records_nothing_for_an_enumerated_degree(self):
@@ -686,6 +692,30 @@ class TestFoundMonomials:
         assert late.monomials_found == 17
         assert late.alive_monomials == tuple(map(p.table.unpack, ring.live(3)))
         assert top.quotient_rank() == DegreeSpan(ring, 4).quotient_rank() == 1
+
+
+class TestStandardMonomials:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.one_of(
+            small_presentations(max_vars=3, tops=(0, 1, 3, 4), generic=True),
+            low_binomial_presentations(),
+        )
+    )
+    def test_standard_monomials_lead_nothing_in_the_ideal(self, p):
+        # reference: every relation multiple over the full basis, its
+        # columns in descending packed order, so the dense pivots are the
+        # lex-leading monomials of I_k.  It needs no J: a dead monomial
+        # lies in I_k and leads itself.
+        for span in GradedRing(p).spans(range(p.top_degree + 1)):
+            k = span.degree
+            basis = brute_basis(p, k)[::-1]
+            col = {m: i for i, m in enumerate(basis)}
+            rows = dense_multiples(p, p.relations, k, col)
+            leads = {basis[c] for c in dense_pivot_columns(rows, len(basis))}
+            expected = tuple(m for m in reversed(basis) if m not in leads)
+            assert span.standard_monomials == expected
+            assert len(expected) == span.quotient_rank()
 
 
 class TestBatchedMembership:

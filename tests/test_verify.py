@@ -69,6 +69,12 @@ class TestEquivalence:
         assert report.passed
         assert report.evidence["ranks_full"] == [1, 3, 4, 3, 1]
 
+    def test_five_points_beyond_the_default_cap(self):
+        # (1,5) uncapped: 297,662 monomials at top degree
+        report = check_equivalence(1, 5, None)
+        assert report.passed
+        expected = [1, 21, 67, 67, 21, 1]
+        assert report.evidence["ranks_full"] == report.evidence["ranks_simplified"] == expected
 
     def test_four_points_build_one_span_per_side_and_degree(self, monkeypatch):
         # one pass a side: the span of each degree gives the rank and
