@@ -43,58 +43,60 @@ f_1, f_2, ... in `packed_relations` order (sparse first), and the live
 shifts of one relation ascending.  The row m*f_j has the signature (j, m),
 compared by j and then by m as a packed integer.  That order on monomials
 is lex, and it is a monomial order, since the packed fields never carry:
-m < m' gives q*m < q*m'.  A row is skipped by either of two criteria, and
-each writes it as a combination of rows of smaller signature, modulo the
-dead columns J_k:
+m < m' gives q*m < q*m'.  A row is skipped by one criterion (F5's
+rewritten criterion; Gao, Volny and Wang's signature-based Groebner
+bases), which writes it as a combination of rows of smaller signature,
+modulo the dead columns J_k: m = q*s for a recorded zero signature (j, s).
+A relation row s*f_j of some degree e that reduces to zero is a syzygy.
+Only rows of smaller signature went in before it, so its reduction to zero
+says
 
-  * The lead criterion (the syzygy criterion of Faugere's F5): the leading
-    monomial (LM, the largest packed term) of an earlier f_i divides m.
-    Writing m = LM(f_i)*m',
+    s*f_j = sum of c*s'*f_i over (i, s') < (j, s), modulo J_e.
 
-        m*f_j = m'*f_j*f_i - m'*tail(f_i)*f_j,
-
-    the first part is a combination of rows of f_i, whose signatures
-    (i, .) have i < j, and the second a combination of rows of f_j at
-    shifts below m.
-  * The syzygy criterion (F5's rewritten criterion; Gao, Volny and Wang's
-    signature-based Groebner bases): m = q*s for a recorded zero signature
-    (j, s).  A relation row s*f_j of some degree e that reduces to zero is a
-    syzygy.  Only rows of smaller signature went in before it, so its
-    reduction to zero says
-
-        s*f_j = sum of c*s'*f_i over (i, s') < (j, s), modulo J_e.
-
-    The ring records (j, s).  Multiplied by q, the identity writes m*f_j
-    through the rows q*s'*f_i, whose signatures (i, q*s') are still below
-    (j, q*s), modulo q*J_e.  And q*J_e lies in J_k: the ring only deletes
-    monomials from a layer, a layer is frozen once the next is enumerated,
-    and each layer is the divisor-closed extension of the one below, less
-    what is dead at its degree, so a multiple of a monomial ever dead at
-    degree e is dead above it.
+The ring records (j, s).  Multiplied by q, the identity writes m*f_j
+through the rows q*s'*f_i, whose signatures (i, q*s') are still below
+(j, q*s), modulo q*J_e.  And q*J_e lies in J_k: the ring only deletes
+monomials from a layer, a layer is frozen once the next is enumerated, and
+each layer is the divisor-closed extension of the one below, less what is
+dead at its degree, so a multiple of a monomial ever dead at degree e is
+dead above it.
 
 By induction over the signatures, every multiple of degree k lies in the
 span of the built rows of signature up to its own, modulo J_k: a multiple
 at a dead shift has every term dead, a built row lies there, and a skipped
 row is a combination of rows of smaller signature.  So the span, and every
 rank, is exactly that of all the multiples.  As a divisor of a live
-monomial is live, the live degree-e shifts that a lead or a zero
-signature's shift of degree d covers are it times the live monomials of
-degree e - d.  An equal row is not filtered out: it reduces to zero and
-is recorded like any other.
+monomial is live, the live degree-e shifts that a zero signature's shift of
+degree d covers are it times the live monomials of degree e - d.  An equal
+row is not filtered out: it reduces to zero and is recorded like any other.
 
-The order is what makes the syzygy criterion sound.  Rows inserted
-shortest first reduce to zero against rows of any signature.  A recorded
-identity may then use a row of larger signature, whose multiple is skipped
-by another identity that uses the first row's multiple: the two skips
-vouch for each other, and neither row is in the span.  Recording zero
-rows under that order made the top degree of (1,4) all-large 8 instead
-of 1.
+The order is what makes the criterion sound.  Rows inserted shortest first
+reduce to zero against rows of any signature.  A recorded identity may
+then use a row of larger signature, whose multiple is skipped by another
+identity that uses the first row's multiple: the two skips vouch for each
+other, and neither row is in the span.  Recording zero rows under that
+order made the top degree of (1,4) all-large 8 instead of 1.
+
+F5's other criterion, which skips m*f_j when the leading monomial (LM, the
+largest packed term) of an earlier f_i divides m, is not applied: the
+recorded zero rows catch its pairs one degree up.  Writing m = LM(f_i)*m',
+
+    m*f_j = m'*f_i*f_j - m'*tail(f_i)*f_j,
+
+the first part is a combination of rows of f_i, whose signatures (i, .)
+have i < j, and the second a combination of rows of f_j at shifts below m.
+So the row LM(f_i)*f_j, at m' = 1, is empty or reduces to zero when it is
+built, and a zero row is recorded: the spans above skip its multiples, and
+the multiples of an empty row are empty, as a multiple of a dead monomial
+is dead.  In a ring whose spans are built from degree 0 up, the lead
+criterion would save one inserted row per pair and the empty rows above
+it, for a set of covered shifts rebuilt in every span.
 
 Extra generators (`insert_products`) follow the relations in the same
-order, pruned by every lead before theirs.  Their zero rows are not
-recorded on the ring, as a query's generators are not the ring's.  Nor
-is an empty relation row, whose terms all lie on dead columns: it is a
-syzygy too, but recording it grows the covered shifts more than it saves.
+order, at every live shift.  Their zero rows are not recorded on the ring,
+as a query's generators are not the ring's.  Nor is an empty relation row,
+whose terms all lie on dead columns: it is a syzygy too, but recording it
+grows the covered shifts more than it saves.
 
 Monomials in a slice are the packed integers of `Poly` itself, so a
 relation's terms go into rows as they are.  The field width comes from the
@@ -108,9 +110,9 @@ column, is absent from the index of live columns and is dropped there.
 
 A slice's columns run the other way: column 0 is its largest live
 monomial.  The echelon pivots a row on its first column, which is then the
-row's leading monomial, the one both criteria are stated for.  Relation
-terms are kept in descending order, leading monomial first, so a row's
-columns come out ascending as they are.  Nothing above depends on the
+row's leading monomial in the lex order the signatures are compared by.
+Relation terms are kept in descending order, leading monomial first, so a
+row's columns come out ascending as they are.  Nothing above depends on the
 column order: a zero row and a pivot of one entry mean the same under any
 order, so every rank and answer is the same under each; only which
 monomials are found, and how much reduction a row takes, vary with it.
@@ -310,14 +312,13 @@ class DegreeSpan:
     columns are the ring's live layer of degree k, largest first, so each
     row is pivoted on its leading monomial, and the monomials the ring
     knows dead are no columns.  Relation rows go in in signature
-    order, and a multiple is skipped when an earlier lead divides its
-    shift, or a zero signature the ring recorded for its relation does
-    (see the module docstring); each relation row here that reduces to
-    zero is recorded in turn.  Once the relation rows are in, each pivot
-    of one entry is a monomial found in the ideal, which the ring deletes
-    from its layer.  The leads stay on the span, so extra generators
-    inserted afterwards (ideal generators) are pruned by the relations'
-    leads too; single rows (mapped classes) can be inserted as well.  The
+    order, and a multiple is skipped when a zero signature the ring
+    recorded for its relation divides its shift (see the module
+    docstring); each relation row here that reduces to zero is recorded
+    in turn.  Once the relation rows are in, each pivot of one entry is a
+    monomial found in the ideal, which the ring deletes from its layer.
+    Extra generators (ideal generators) can be inserted afterwards at
+    every live shift, and single rows (mapped classes) as well.  The
     full basis is counted, not built; `monomials` lists it on first use.
     Ranks always refer to the full column space.
     """
@@ -332,8 +333,6 @@ class DegreeSpan:
         # descending: column 0 is the largest live monomial
         self._alive_index = {m: i for i, m in enumerate(reversed(alive))}
         self._dead = self._count - len(alive)
-        self._leads = []  # (degree, packed leading monomial), in insertion order
-        self._covered = {}  # shift degree -> (shifts a lead divides, leads taken in)
         self._rows_inserted = 0
         self._products_skipped = 0
         self._syzygies_found = 0
@@ -378,10 +377,9 @@ class DegreeSpan:
 
     @property
     def products_skipped(self) -> int:
-        """Multiples not built because an earlier lead or a recorded zero
-        signature of their polynomial divides the shift.  It depends on the
-        insertion order, which decides the leads before a polynomial and
-        the rows that reduce to zero."""
+        """Multiples not built because a recorded zero signature of their
+        polynomial divides the shift.  It depends on the insertion order,
+        which decides the rows that reduce to zero."""
         return self._products_skipped
 
     @property
@@ -419,33 +417,24 @@ class DegreeSpan:
         live = self.ring.live
         return {m + q for d, m in divisors if d <= e for q in live(e - d)}
 
-    def _covered_of(self, e: int) -> set:
-        """Degree-e shifts divisible by a lead so far.  Each set takes in
-        only the leads added since it was last asked for."""
-        covered, seen = self._covered.get(e, (set(), 0))
-        covered.update(self._multiples(self._leads[seen:], e))
-        self._covered[e] = (covered, len(self._leads))
-        return covered
-
     def _insert_products(self, packed, syzygies=None):
         """Insert the live multiples of packed polynomials in signature
         order: the polynomials in turn, each one's shifts ascending.  A
-        shift is skipped when an earlier polynomial's lead divides it, or
-        the shift of one of the polynomial's recorded zero rows does (see
-        the module docstring).  `syzygies` is the ring's record, one list
-        of (shift degree, shift) per polynomial, and a row that reduces to
-        zero is appended to its list; extra generators pass None and record
-        nothing, as a query's generators are not the ring's."""
+        shift is skipped when the shift of one of the polynomial's recorded
+        zero rows divides it (see the module docstring).  `syzygies` is the
+        ring's record, one list of (shift degree, shift) per polynomial, and
+        a row that reduces to zero is appended to its list; extra generators
+        pass None, are inserted at every live shift and record nothing, as
+        a query's generators are not the ring's."""
         insert = self._ech.insert
         for j, (dg, terms) in enumerate(packed):
             if dg > self.degree:
                 continue
             e = self.degree - dg
             zeros = None if syzygies is None else syzygies[j]
-            covered = self._covered_of(e)
-            own = self._multiples(zeros, e) if zeros else ()
+            covered = self._multiples(zeros, e) if zeros else ()
             live = self.ring.live(e)
-            shifts = [m for m in live if m not in covered and m not in own]
+            shifts = [m for m in live if m not in covered]
             self._products_skipped += len(live) - len(shifts)
             for shift in shifts:
                 cols, coeffs = self._row(terms, shift)
@@ -454,7 +443,6 @@ class DegreeSpan:
                     if not insert(cols, coeffs) and zeros is not None:
                         zeros.append((e, shift))
                         self._syzygies_found += 1
-            self._leads.append((dg, terms[0][0]))
 
     def vector(self, poly: Poly):
         terms = self.ring.packed_terms(poly)
@@ -467,7 +455,8 @@ class DegreeSpan:
         return self._row(terms)
 
     def insert_products(self, gens) -> int:
-        """Insert g*m rows for extra generators; returns the rank gain."""
+        """Insert g*m rows for extra generators at every live shift m;
+        returns the rank gain."""
         before = self._ech.rank
         self._insert_products(self.ring.packed_polys(gens))
         return self._ech.rank - before

@@ -297,21 +297,22 @@ class TestGradedRanks:
         assert graded_ranks(p, monomial_cap=None) == rank_oracle(1, 5, family) == expected
 
     def test_spans_count_rows_and_skipped_multiples(self):
-        # without the criterion, every live multiple gives 5,585 rows
+        # a fresh ring has recorded no zero row, so nothing is skipped and
+        # every nonempty live multiple is a row: 5,585 in all
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = [DegreeSpan(GradedRing(p), k) for k in range(p.top_degree + 1)]
         assert [s.quotient_rank() for s in spans] == [1, 9, 16, 9, 1]
-        assert [s.rows_inserted for s in spans] == [0, 6, 142, 908, 2739]
-        assert any(s.products_skipped > 0 for s in spans)
+        assert [s.rows_inserted for s in spans] == [0, 6, 147, 1084, 4348]
+        assert all(s.products_skipped == 0 for s in spans)
 
     def test_syzygies_climb_the_degrees_of_a_shared_ring(self):
         # the zero relation rows a span records skip their multiples in the
         # spans above it: on the fresh rings above, degrees 3 and 4 insert
-        # 908 and 2,739 rows
+        # 1,084 and 4,348 rows
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         counts = [(s.rows_inserted, s.products_skipped, s.syzygies_found) for s in spans]
-        assert counts == [(0, 0, 0), (6, 0, 0), (142, 5, 72), (420, 784, 139), (584, 5126, 2)]
+        assert counts == [(0, 0, 0), (6, 0, 0), (147, 0, 77), (438, 766, 157), (614, 4985, 32)]
 
     def test_live_monomials_are_enumerated_once_per_slice(self, monkeypatch):
         # the spans of one ring share each degree's live monomials, as
@@ -366,11 +367,12 @@ def small_presentations(draw, max_vars=4, tops=TOP_DEGREES, generic=False):
 @st.composite
 def low_binomial_presentations(draw):
     """Presentations in 2-3 variables of top degree 2-4 whose relations are
-    1-3 binomials c*m - c'*m' of two different monomials below the top
-    degree and at most one killer.  A binomial's span has a pivot of two
-    entries, whose lead need not lie in the ideal.  No cap is 1, which
-    would make a binomial a single term, and the ideal is small enough
-    that wrongly taking a lead in changes the ranks above it."""
+    1-3 binomials c*m - c'*m' of two different monomials under the caps
+    below the top degree and at most one killer.  A binomial's span has a
+    pivot of two entries, whose lead need not lie in the ideal.  No cap is
+    1, so degree 1 has a monomial under the caps per variable, and the
+    ideal is small enough that wrongly taking a lead in changes the ranks
+    above it."""
     top = draw(st.sampled_from((2, 3, 4)))
     nvars = draw(st.integers(2, 3))
     caps = draw(st.lists(st.none() | st.integers(2, top + 2), min_size=nvars, max_size=nvars))
@@ -379,17 +381,16 @@ def low_binomial_presentations(draw):
         Poly.monomial(table, draw_monomial(draw, nvars, draw(st.integers(1, top))))
         for _ in range(draw(st.integers(0, 1)))
     ]
+    bare = Presentation(table, (), top)
+    under_caps = {d: brute_basis(bare, d) for d in range(1, top)}
+    degrees = [d for d, monomials in under_caps.items() if len(monomials) > 1]
     for _ in range(draw(st.integers(1, 3))):
-        degree = draw(st.integers(1, top - 1))
-        a = draw_monomial(draw, nvars, degree)
-        b = list(draw_monomial(draw, nvars, degree))
-        if tuple(b) == a:  # move one unit of exponent to the next variable
-            i = next(i for i, e in enumerate(a) if e)
-            b[i] -= 1
-            b[(i + 1) % nvars] += 1
+        monomials = under_caps[draw(st.sampled_from(degrees))]
+        pair = st.lists(st.sampled_from(monomials), min_size=2, max_size=2, unique=True)
+        a, b = draw(pair)
         relations.append(
             Poly.monomial(table, a, draw(st.integers(1, 3)))
-            - Poly.monomial(table, tuple(b), draw(st.integers(1, 3)))
+            - Poly.monomial(table, b, draw(st.integers(1, 3)))
         )
     return Presentation(table, relations, top)
 
@@ -617,6 +618,12 @@ class TestDenseRelations:
         k = data.draw(st.integers(0, p.top_degree))
         check_span_against_dense(DegreeSpan(GradedRing(p), k), p, extra, gens, data)
 
+    @given(low_binomial_presentations())
+    def test_low_binomials_survive_the_caps(self, p):
+        # each drawn binomial has two monomials under the caps, so no
+        # presentation is left without a relation
+        assert 1 <= sum(len(r.terms) == 2 for r in p.relations) <= 3
+
 
 class TestFoundMonomials:
     """A monomial a relation span finds in the ideal kills its multiples in
@@ -692,6 +699,60 @@ class TestFoundMonomials:
         assert late.monomials_found == 17
         assert late.alive_monomials == tuple(map(p.table.unpack, ring.live(3)))
         assert top.quotient_rank() == DegreeSpan(ring, 4).quotient_rank() == 1
+
+
+def lead_pair_outcomes(p):
+    """Walk a ring's spans from degree 0 up, then sort each pair i < j of
+    its relations whose row LM(f_i)*f_j lies at or below the top degree:
+    "recorded" when a zero signature the ring recorded for f_j divides
+    LM(f_i), "empty" when no term of the row lies on a live column of its
+    degree's span, and "neither" otherwise."""
+    ring = GradedRing(p)
+    live = {}
+    for span in ring.spans(range(p.top_degree + 1)):
+        live[span.degree] = set(map(p.table.pack, span.alive_monomials))
+    unpack = p.table.unpack
+    relations = ring.packed_relations
+    outcomes = {"recorded": 0, "empty": 0, "neither": 0}
+    for j, (dj, terms) in enumerate(relations):
+        for di, lead_terms in relations[:j]:
+            if di + dj > p.top_degree:
+                continue
+            lead = lead_terms[0][0]
+            if any(all(map(int.__le__, unpack(s), unpack(lead))) for _, s in ring._syzygies[j]):
+                outcome = "recorded"
+            elif any(t + lead in live[di + dj] for t, _ in terms):
+                outcome = "neither"
+            else:
+                outcome = "empty"
+            outcomes[outcome] += 1
+    return outcomes
+
+
+class TestLeadPairs:
+    """The lead criterion is not applied: the row LM(f_i)*f_j of a pair
+    i < j is empty or reduces to zero, and a zero row is recorded, so the
+    spans above skip its multiples (see the `fmchow.ranks` docstring)."""
+
+    @pytest.mark.parametrize(
+        "dim, weights",
+        [
+            (1, ("1",) * 4),
+            (3, ("1",) * 3),
+            (2, ("1/2",) * 4),
+            (4, ("1", "1/2", "1/2")),
+        ],
+    )
+    def test_lead_pairs_of_the_ladder_are_recorded_or_empty(self, dim, weights):
+        family = LargeFamily.from_weights(Weights.from_strings(weights))
+        outcomes = lead_pair_outcomes(chow_presentation(ProjectiveGeometry(dim, len(weights)), family))
+        assert outcomes["neither"] == 0
+        assert outcomes["recorded"] > 0
+
+    @settings(deadline=None, max_examples=100)
+    @given(low_binomial_presentations())
+    def test_lead_pairs_of_low_binomials_are_recorded_or_empty(self, p):
+        assert lead_pair_outcomes(p)["neither"] == 0
 
 
 class TestStandardMonomials:
