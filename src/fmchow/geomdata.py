@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb
 
 from fmchow.polyalg import ChernPoly, Poly, Var, VarTable, chern_mul, divisor_name
-from fmchow.setcomb import LargeFamily, subset_key
+from fmchow.setcomb import LargeFamily
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,6 @@ def chern_set(geom: ProjectiveGeometry, s, table: VarTable = None, chain=None) -
 def divisor_sum(table: VarTable, large: LargeFamily, lower) -> Poly:
     """Sum of divisor variables D_V over large V containing `lower`."""
     lower = frozenset(lower)
-    out = Poly.zero(table)
-    for v in sorted(large.members, key=subset_key):
-        if lower <= v:
-            out = out + Poly.variable(table, divisor_name(v))
-    return out
+    return Poly.variable_sum(
+        table, [divisor_name(v) for v in large.members if lower <= v]
+    )

@@ -253,10 +253,19 @@ class Poly:
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Poly":
-        i = table.index(name)
-        if table.vars[i].cap == 1:
-            return cls._of(table, {})
-        return cls._of(table, {1 << (i * FIELD_BITS): 1})
+        return cls.variable_sum(table, (name,))
+
+    @classmethod
+    def variable_sum(cls, table: VarTable, names) -> "Poly":
+        """The sum of the named variables, built as one dict of unit
+        monomials; a variable its cap kills adds nothing."""
+        terms = {}
+        for name in names:
+            i = table.index(name)
+            if table.vars[i].cap != 1:
+                m = 1 << (i * FIELD_BITS)
+                terms[m] = terms.get(m, 0) + 1
+        return cls._of(table, terms)
 
     @classmethod
     def monomial(cls, table: VarTable, exps, coeff: int = 1) -> "Poly":
@@ -538,10 +547,11 @@ def chern_eval(p: ChernPoly, s: Poly) -> Poly:
         raise DegreeError("evaluation argument must be homogeneous of degree 1")
     out = Poly.zero(p.table)
     power = Poly.constant(p.table, 1)
-    for ell in range(p.degree + 1):
-        if not p.coeffs[ell].is_zero():
-            out = out + p.coeffs[ell] * power
-        power = power * s
+    for ell, c in enumerate(p.coeffs):
+        if ell:
+            power = power * s  # s^ell, and never s^(degree+1)
+        if not c.is_zero():
+            out = out + c * power
     return out
 
 

@@ -9,10 +9,17 @@ the all-large case, where only pairwise Chern relations are needed.
 a Chern polynomial of a center, it adjoins the exceptional class E with
 relations J*E and P(-E).  `coincidence_data` produces exactly that input
 for the locus where a small cluster T has merged, and
-`iterated_presentation` replays the whole construction one wall crossing
-at a time -- its output has the same variables as `chow_presentation` but
-generally fewer relations, so rank agreement between the two is a genuine
-cross-check and not a tautology.
+`iterated_presentation` builds the whole construction, one wall crossing
+after another, in one pass over its final variable table.  Its relations
+are those of folding `blowup_step` over the walk, but each step's are
+computed once, not carried and re-sorted through every later step.  It
+has the same variables as `chow_presentation` but generally fewer
+relations, so rank agreement between the two is a genuine cross-check
+and not a tautology.
+
+`chow_presentation` evaluates each distinct Chern polynomial at each
+distinct divisor sum once per call, and keeps the evaluations in a dict
+of that call only: no memo outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -91,20 +98,30 @@ def chow_presentation(
 
     `chain` optionally overrides the chain used inside Chern-polynomial
     products (a callable from a set to an index sequence); the default is
-    increasing order.
+    increasing order.  Each distinct (set, chain, lower set) evaluation in
+    the last two families is computed once per call.
     """
     table = geom.table_for(large)
     members = large.sorted_members()
     dvar = {s: Poly.variable(table, divisor_name(s)) for s in members}
-    chain_for = chain or (lambda s: sorted(s))
+    chain_for = chain or sorted
+    cherns, values = {}, {}
+
+    def value(s, lower) -> Poly:
+        order = tuple(chain_for(s))
+        key = (s, order, lower)
+        if key not in values:
+            if (s, order) not in cherns:
+                cherns[s, order] = chern_set(geom, s, table, chain=order)
+            values[key] = chern_eval(cherns[s, order], divisor_sum(table, large, lower))
+        return values[key]
+
     rels = _annihilators(geom, table, dvar)
     for s in members:
-        c = chern_set(geom, s, table, chain=chain_for(s))
-        rels.append(chern_eval(c, divisor_sum(table, large, s)))
+        rels.append(value(s, s))
     for s in members:
         for sp in _mixed_partners(geom.n, s):
-            c = chern_set(geom, sp, table, chain=chain_for(sp))
-            rels.append(dvar[s] * chern_eval(c, divisor_sum(table, large, s | sp)))
+            rels.append(dvar[s] * value(sp, s | sp))
     return Presentation(table, rels, geom.top_degree())
 
 
@@ -142,7 +159,11 @@ class CoincidenceData:
 
 
 def coincidence_data(
-    geom: ProjectiveGeometry, large: LargeFamily, t, rep: int = None
+    geom: ProjectiveGeometry,
+    large: LargeFamily,
+    t,
+    rep: int = None,
+    table: VarTable = None,
 ) -> CoincidenceData:
     """Ideal generators and Chern polynomial of the coincidence locus of a
     small cluster t inside the compactification for `large`.
@@ -154,6 +175,11 @@ def coincidence_data(
     t (default: the minimum; the ideal does not depend on the choice).
     The Chern polynomial is the one of t shifted by t -> -t plus the sum
     of D_V over large V strictly containing t.
+
+    Everything is expressed over `table` (default: `geom.table_for(large)`),
+    which must hold the point variables and the divisor variable of every
+    large set, in any order; the result is the transport of the default
+    one into it.
     """
     t = frozenset(t)
     if len(t) < 2:
@@ -166,21 +192,28 @@ def coincidence_data(
         rep = min(t)
     if rep not in t:
         raise ValueError(f"representative {rep} is not in {sorted(t)}")
-    table = geom.table_for(large)
+    table = table or geom.table_for(large)
     gens = list(diagonal_ideal(geom, t, table))
-    for s in large.sorted_members():
+    members = large.sorted_members()
+    for s in members:
         if is_overlap(s, t):
             gens.append(Poly.variable(table, divisor_name(s)))
-    for s in large.sorted_members():
+    for s in members:
         if s > t:
             c = chern_set(geom, (s - t) | {rep}, table)
             gens.append(chern_eval(c, divisor_sum(table, large, s)))
-    shift = Poly.zero(table)
-    for v in large.sorted_members():
-        if v > t:
-            shift = shift + Poly.variable(table, divisor_name(v))
+    # t is not large, so the large sets containing t contain it strictly
+    shift = divisor_sum(table, large, t)
     chern = chern_shift(chern_set(geom, t, table), shift, sign=-1)
     return CoincidenceData(t, tuple(gens), chern)
+
+
+def _blowup_relations(center_ideal, chern: ChernPoly, e: Poly) -> list:
+    """The relations one blow-up adds, all over the table of its
+    exceptional class `e`: g*E for each g in J, and P(-E)."""
+    rels = [g * e for g in center_ideal]
+    rels.append(chern_eval(chern, -e))
+    return rels
 
 
 def blowup_step(
@@ -192,20 +225,21 @@ def blowup_step(
     polynomial P of the center, the new ring is the old one with a
     degree-1 variable E = `name` and extra relations g*E (g in J) and
     P(-E).  An empty center is encoded by J = [1], which kills E.  The top
-    degree is unchanged.
+    degree is unchanged.  `iterated_presentation` adds the same relations
+    at each wall crossing without building the ring in between.
     """
     if name in p.table:
         raise StructureError(f"variable {name!r} already present")
     table = p.table.extended(Var(name, 1, None))
-    e = Poly.variable(table, name)
-    rels = [transport(r, table) for r in p.relations]
+    gens = []
     for g in center_ideal:
         g.homogeneous_degree()  # raises DegreeError if inhomogeneous
-        rels.append(transport(g, table) * e)
+        gens.append(transport(g, table))
     shifted = ChernPoly(
         table, chern.degree, [transport(c, table) for c in chern.coeffs]
     )
-    rels.append(chern_eval(shifted, -e))
+    rels = [transport(r, table) for r in p.relations]
+    rels += _blowup_relations(gens, shifted, Poly.variable(table, name))
     return Presentation(table, rels, p.top_degree)
 
 
@@ -216,22 +250,26 @@ def iterated_presentation(
 
     Starting from the base product (empty family), each step blows up the
     coincidence locus of the next cluster in the walk, computed for the
-    family processed so far, introducing its divisor variable.  The result
-    has the same variables as `chow_presentation(geom, large)` and a
-    subset of its relations; equality of graded ranks is the central
-    cross-check of the construction.
+    family processed so far, introducing its divisor variable.  The
+    relations are those of folding `coincidence_data` and `blowup_step`
+    over the walk, but built in one pass: every step works over the final
+    table (the point variables, then one divisor variable per step in
+    walk order), adds its relations to one list, and one `Presentation`
+    is made at the end.  The result has the same variables as
+    `chow_presentation(geom, large)` and a subset of its relations;
+    equality of graded ranks is the central cross-check of the
+    construction.
     """
     steps = validate_walk(large, walk if walk is not None else canonical_walk(large))
-    p = chow_presentation(geom, LargeFamily.empty(geom.n))
+    table = VarTable(
+        geom.point_table().vars + tuple(Var(divisor_name(t), 1, None) for t in steps)
+    )
     processed = LargeFamily.empty(geom.n)
+    # the base product, the empty family, has no relations
+    rels = []
     for t in steps:
-        data = coincidence_data(geom, processed, t, rep=min(t))
-        gens = [transport(g, p.table) for g in data.ideal_gens]
-        chern = ChernPoly(
-            p.table,
-            data.chern.degree,
-            [transport(c, p.table) for c in data.chern.coeffs],
-        )
-        p = blowup_step(p, gens, chern, divisor_name(t))
+        data = coincidence_data(geom, processed, t, rep=min(t), table=table)
+        e = Poly.variable(table, divisor_name(t))
+        rels += _blowup_relations(data.ideal_gens, data.chern, e)
         processed = LargeFamily(geom.n, processed.members | {t})
-    return p
+    return Presentation(table, rels, geom.top_degree())

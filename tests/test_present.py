@@ -1,7 +1,10 @@
 """Tests for the presentation builders and the iterated construction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fmchow.present
 from fmchow.errors import StructureError, WalkOrderError
 from fmchow.geomdata import ProjectiveGeometry, chern_set, diagonal_ideal, divisor_sum
 from fmchow.polyalg import (
@@ -15,6 +18,7 @@ from fmchow.polyalg import (
     transport,
 )
 from fmchow.present import (
+    CoincidenceData,
     blowup_step,
     chow_presentation,
     coincidence_data,
@@ -22,7 +26,13 @@ from fmchow.present import (
     simplified_presentation,
 )
 from fmchow.ranks import graded_ranks, ideal_ranks, membership, rank_oracle
-from fmchow.setcomb import LargeFamily, all_walks, canonical_walk, merge_family
+from fmchow.setcomb import (
+    LargeFamily,
+    Weights,
+    all_walks,
+    canonical_walk,
+    merge_family,
+)
 
 F = frozenset
 
@@ -363,8 +373,109 @@ class TestIteratedPresentation:
             processed = LargeFamily(3, processed.members | {t})
 
 
+def fold(geom, large, walk):
+    """The iterated construction as a fold of single blow-ups: at each wall
+    crossing, the coincidence data over the processed family's own table,
+    transported into the ring built so far, then `blowup_step`."""
+    p = chow_presentation(geom, LargeFamily.empty(geom.n))
+    processed = LargeFamily.empty(geom.n)
+    for t in walk:
+        data = coincidence_data(geom, processed, t, rep=min(t))
+        gens = [transport(g, p.table) for g in data.ideal_gens]
+        chern = ChernPoly(
+            p.table, data.chern.degree, [transport(c, p.table) for c in data.chern.coeffs]
+        )
+        p = blowup_step(p, gens, chern, divisor_name(t))
+        processed = LargeFamily(geom.n, processed.members | {t})
+    return p
+
+
+def assert_equals_fold(geom, large, walk):
+    one_pass = iterated_presentation(geom, large, walk)
+    folded = fold(geom, large, walk)
+    assert one_pass == folded
+    assert one_pass.dump().encode() == folded.dump().encode()
+
+
+#: the grid of the benchmark's sweep workload, (d, n), and its weights k/12
+SWEEP_GRID = ((1, 3), (1, 4), (2, 2), (2, 3), (3, 2))
+
+
+@st.composite
+def sweep_instances(draw):
+    d, n = draw(st.sampled_from(SWEEP_GRID))
+    ks = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    return d, Weights.from_strings([f"{k}/12" for k in ks])
+
+
+class TestOnePassBuild:
+    """The one-pass iterated build against the step-by-step fold."""
+
+    @pytest.mark.parametrize(
+        "dim, weights", [(2, "1,1,1"), (1, "1,1/2,1/2,1/2")]
+    )
+    def test_every_walk_equals_fold(self, dim, weights):
+        parsed = Weights.from_strings(weights.split(","))
+        geom = ProjectiveGeometry(dim, parsed.n)
+        large = LargeFamily.from_weights(parsed)
+        walks = all_walks(large)
+        assert len(walks) > 1
+        for walk in walks:
+            assert_equals_fold(geom, large, walk)
+
+    @settings(deadline=None)
+    @given(sweep_instances())
+    def test_sweep_draws_equal_fold(self, instance):
+        dim, weights = instance
+        large = LargeFamily.from_weights(weights)
+        assert_equals_fold(ProjectiveGeometry(dim, weights.n), large, canonical_walk(large))
+
+    def test_coincidence_data_over_a_given_table_is_the_transport(self):
+        geom = ProjectiveGeometry(1, 4)
+        large = LargeFamily.all_subsets(4)
+        walk = canonical_walk(large)
+        final = VarTable(
+            geom.point_table().vars + tuple(Var(divisor_name(t), 1, None) for t in walk)
+        )
+        processed = LargeFamily.empty(4)
+        for t in walk:
+            default = coincidence_data(geom, processed, t)
+            chern = ChernPoly(
+                final, default.chern.degree, [transport(c, final) for c in default.chern.coeffs]
+            )
+            gens = tuple(transport(g, final) for g in default.ideal_gens)
+            expected = CoincidenceData(default.subset, gens, chern)
+            assert coincidence_data(geom, processed, t, table=final) == expected
+            processed = LargeFamily(4, processed.members | {t})
+
+
+def test_no_memo_outlives_a_build(monkeypatch):
+    # the Chern memos are local to one builder call: a second, equal build
+    # computes exactly as many Chern polynomials as the first
+    calls = []
+    counted = fmchow.present.chern_set
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(fmchow.present, "chern_set", counting)
+    builds = [
+        lambda: chow_presentation(ProjectiveGeometry(1, 5), LargeFamily.all_subsets(5)),
+        lambda: iterated_presentation(ProjectiveGeometry(2, 4), LargeFamily.all_subsets(4)),
+    ]
+    for build in builds:
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            build()
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
 #: SHA-256 of `fmchow present`'s two files and of the iterated and
 #: simplified presentations' dumps, recorded before monomials were packed
+#: (the last two before the iterated construction was built in one pass)
 GOLDEN = {
     (1, "1,1,1,1"): (
         "9ff0dddeaacf9e5427a293e31361282d3e5e2c0f2989e2941a08040310f9a7a7",
@@ -383,6 +494,18 @@ GOLDEN = {
         "235d69ab8ac6ab043965cd31121ab48c01a17a9d03bccbfff3aadbdf7609e52d",
         "8bffcde67f87e42d0494e02af69fa5f3397de623a2757e2c037f3d42d258f66e",
         "8bffcde67f87e42d0494e02af69fa5f3397de623a2757e2c037f3d42d258f66e",
+    ),
+    (1, "1,1,1,1,1"): (
+        "b476b1212447fbb88bec4cf8dd5838153c45afcfe7270faee8d6a30a0f4efceb",
+        "d8515e15b2d1d590db16e516c1279de1f0823a1e33d199fb2e3dd07ab8397e0e",
+        "ffc60923eed87173656cb708776e2bff4cf8b4b66c76af0e897b0ffb9316e2ff",
+        "7c6feafa59c8e51789960c9f1589a2cb7bc80c3f2c68ea5285f13e3cb2376205",
+    ),
+    (2, "1/2,1/2,1/2,1/2"): (
+        "13132acbbf95a796255ae31992b693ed733c5eb147d81682f543a4bb39069de0",
+        "d39d77b87a5939f0fc2c32a7c389f126acb759ff595d74d3dca69c61e366a917",
+        "2a6fcfd60b25f7413525fa9946c2cac7c292d3f5e09f7cadb85d069244107ecb",
+        "cf872241e9fbb4c7ffd47ae3de86e9d4ee9cabb68074ae625761059f96097dfd",
     ),
 }
 
