@@ -105,9 +105,25 @@ def _positive_int(text: str) -> int:
 
 
 class Job:
-    """A resolved instance: geometry, large family, provenance dict."""
+    """A resolved instance: geometry, large family, provenance dict.  Each
+    constructor validates the geometry once, where it builds it."""
 
-    def __init__(self, dim, n, weights, large_sets):
+    def __init__(self, geom, weights, family):
+        self.geom = geom
+        self.weights = weights
+        self.family = family
+
+    @classmethod
+    def all_ones(cls, dim, n) -> "Job":
+        """Every subset of two or more of the n points large."""
+        geom = _geometry(dim, n)  # before Weights, which would refuse n < 1 with a ValueError
+        weights = Weights((1,) * n)
+        return cls(geom, weights, LargeFamily.from_weights(weights))
+
+    @classmethod
+    def resolve(cls, dim, n, weights, large_sets) -> "Job":
+        """The instance of flag or config values: exactly one of weights
+        and large sets, and the base dimension, are required."""
         if dim is None:
             raise UsageError("the base dimension --d is required")
         if (weights is None) == (large_sets is None):
@@ -129,9 +145,7 @@ class Job:
                 family = LargeFamily.closure(n, large_sets)
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
-        self.geom = _geometry(dim, n)
-        self.weights = weights
-        self.family = family
+        return cls(_geometry(dim, n), weights, family)
 
     def config_dict(self) -> dict:
         return {
@@ -195,7 +209,7 @@ def _job_from_args(args) -> Job:
     if getattr(args, "large_sets", None) is not None:
         large_sets = _parse_large_sets(args.large_sets)
         weights = None
-    return Job(dim, n, weights, large_sets)
+    return Job.resolve(dim, n, weights, large_sets)
 
 
 def _write_atomic(path: str, data: str):
@@ -326,10 +340,9 @@ def cmd_verify(args) -> int:
             if args.weights or args.large_sets or getattr(args, "config", None):
                 job = _job_from_args(args)
             elif _flag_instance(args, name):
-                _geometry(args.d, args.n)  # Weights would refuse n < 1 with a ValueError
-                job = Job(args.d, None, Weights((1,) * args.n), None)
+                job = Job.all_ones(args.d, args.n)
             else:
-                job = Job(1, None, Weights((1, 1, 1)), None)
+                job = Job.all_ones(1, 3)
             if args.walk == "all":
                 all_walks(job.family)
             runs.append(

@@ -619,6 +619,9 @@ class Presentation:
             and self.top_degree == other.top_degree
         )
 
+    def __hash__(self):
+        return hash((self.table, self.relations, self.top_degree))
+
     def canonical_var_order(self) -> "Presentation":
         """Same presentation with the variables reordered canonically:
         capped (point) variables first in name order, then divisor

@@ -425,15 +425,22 @@ class DegreeSpan:
         ring's record, one list of (shift degree, shift) per polynomial, and
         a row that reduces to zero is appended to its list; extra generators
         pass None, are inserted at every live shift and record nothing, as
-        a query's generators are not the ring's."""
+        a query's generators are not the ring's.  When the first recorded
+        zero row has shift 1 (spans climb the degrees, so a zero row of the
+        polynomial's own degree comes first), it divides every shift, and
+        the polynomial is skipped whole without a covered set."""
         insert = self._ech.insert
         for j, (dg, terms) in enumerate(packed):
             if dg > self.degree:
                 continue
             e = self.degree - dg
             zeros = None if syzygies is None else syzygies[j]
-            covered = self._multiples(zeros, e) if zeros else ()
             live = self.ring.live(e)
+            if zeros and zeros[0][0] == 0:
+                # its own-degree row reduced to zero: shift 1 divides every shift
+                self._products_skipped += len(live)
+                continue
+            covered = self._multiples(zeros, e) if zeros else ()
             shifts = [m for m in live if m not in covered]
             self._products_skipped += len(live) - len(shifts)
             for shift in shifts:

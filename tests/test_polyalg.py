@@ -252,6 +252,19 @@ class TestPresentation:
             "D{1,2,3}",
         )
 
+    def test_equal_presentations_hash_equal(self):
+        h1, h2 = h(T2, 1), h(T2, 2)
+        # built apart, over an equal table, with the relations in another order and sign
+        other = VarTable.for_points(2, 2)
+        a = Presentation(T2, [h1 * h2, h1 - h2], 4)
+        b = Presentation(other, [h(other, 2) - h(other, 1), h(other, 1) * h(other, 2)], 4)
+        assert a == b and a.table is not b.table
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert {a: 1}[b] == 1
+        assert Presentation(T2, [h1 - h2], 4) not in {a}
+        assert Presentation(T2, [h1 * h2, h1 - h2], 3) not in {a}
+
 
 class TestCoefficientChecks:
     """Coefficients are integers: a rational or float one is refused with a

@@ -6,8 +6,11 @@ import pytest
 
 import fmchow.verify as verify_module
 from fmchow.errors import SizeCapError
+from fmchow.geomdata import ProjectiveGeometry
+from fmchow.polyalg import Presentation
+from fmchow.present import iterated_presentation
 from fmchow.ranks import DegreeSpan
-from fmchow.setcomb import LargeFamily
+from fmchow.setcomb import LargeFamily, Weights, all_walks
 from fmchow.verify import (
     check_construction,
     check_counterexample,
@@ -136,6 +139,64 @@ class TestConstruction:
         report = check_construction(2, 3, fam)
         assert report.passed
         assert report.evidence["ranks_oracle"] == [1, 4, 8, 10, 8, 4, 1]
+
+    @pytest.mark.parametrize(
+        "dim, weights, walks",
+        [
+            (2, "1,1,1", 6),
+            (1, "1/2,11/12,1/12,5/12", 16),
+            (2, "1/2,1/2,1/2,1/4", 24),
+        ],
+    )
+    def test_every_walk_gives_one_canonical_presentation(self, dim, weights, walks):
+        w = Weights.from_strings(weights.split(","))
+        family = LargeFamily.from_weights(w)
+        geom = ProjectiveGeometry(dim, w.n)
+        walk_list = all_walks(family)
+        assert len(walk_list) == walks
+        canonical = {
+            iterated_presentation(geom, family, walk).canonical_var_order()
+            for walk in walk_list
+        }
+        assert len(canonical) == 1
+
+    def test_all_walks_rank_each_distinct_presentation_once(self, monkeypatch):
+        calls = []
+        ranks = verify_module.graded_ranks
+
+        def counted(p, *args, **kwargs):
+            calls.append(p)
+            return ranks(p, *args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "graded_ranks", counted)
+        report = check_construction(2, 3, LargeFamily.all_subsets(3), walks="all")
+        assert report.passed
+        assert len(calls) == 2  # the direct presentation and one iterated class
+        ev = report.evidence
+        assert ev["walks_checked"] == 6
+        assert ev["iterated_presentations_ranked"] == 1
+        assert ev["ranks_iterated_per_walk"] == [ev["ranks_presentation"]] * 6
+
+    def test_a_walk_with_another_presentation_is_ranked_on_its_own(self, monkeypatch):
+        family = LargeFamily.all_subsets(3)
+        last = all_walks(family)[-1]
+        built = verify_module.iterated_presentation
+
+        def one_relation_short(geom, large, walk):
+            p = built(geom, large, walk)
+            if list(walk) != list(last):
+                return p
+            # the first relation, of degree 2, is not redundant: the ranks change
+            return Presentation(p.table, p.relations[1:], p.top_degree)
+
+        monkeypatch.setattr(verify_module, "iterated_presentation", one_relation_short)
+        report = check_construction(2, 3, family, walks="all")
+        ev = report.evidence
+        assert not report.passed
+        assert ev["iterated_presentations_ranked"] == 2
+        assert ev["ranks_iterated_per_walk"][:-1] == [ev["ranks_presentation"]] * 5
+        assert ev["ranks_iterated_per_walk"][-1] != ev["ranks_presentation"]
+        assert ev["first_divergence_degree"] == 2
 
     def test_evidence_recomputes_verdict(self):
         fam = LargeFamily.all_subsets(2)
