@@ -184,7 +184,7 @@ def _large_sets_from_json(raw) -> list:
 def _job_from_args(args) -> Job:
     dim = n = None
     weights = large_sets = None
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         raw = _load_config_file(args.config)
         base = raw.get("base", {}) if isinstance(raw, dict) else None
         if not isinstance(base, dict):
@@ -311,18 +311,19 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in known:
             raise UsageError(f"unknown scenario {name!r}; known: {sorted(known)}")
-    if set(names) == {"counterexample"}:
-        flags = {
-            "--d": args.d,
-            "--n": args.n,
-            "--weights": args.weights,
-            "--large-sets": args.large_sets,
-            "--config": args.config,
-        }
-        given = [flag for flag, value in flags.items() if value is not None]
-        if given:
-            # its instance is fixed: a flag would be dropped without a word
-            raise UsageError(f"the counterexample scenario takes no {', '.join(given)}")
+    # the scenarios that read each flag given; a flag none of the requested
+    # scenarios reads would be dropped without a word
+    readers = [
+        ("--d", args.d is not None, {"equivalence", "construction"}),
+        ("--n", args.n is not None, {"equivalence", "construction"}),
+        ("--weights", args.weights is not None, {"construction"}),
+        ("--large-sets", args.large_sets is not None, {"construction"}),
+        ("--config", args.config is not None, {"construction"}),
+        ("--walk all", args.walk == "all", {"construction"}),
+    ]
+    unread = [flag for flag, given, read_by in readers if given and not read_by & set(names)]
+    if unread:
+        raise UsageError(f"no requested scenario ({', '.join(names)}) reads {', '.join(unread)}")
     # Resolve every scenario's instance, and enumerate the walks when all
     # are asked for, before the first scenario runs: a usage error or a
     # walk-cap refusal then comes before any rank work.
@@ -337,7 +338,7 @@ def cmd_verify(args) -> int:
                 _geometry(dim, n)  # a bad instance is a usage error before any run
                 runs.append(partial(check_equivalence, dim, n, args.cap))
         else:
-            if args.weights or args.large_sets or getattr(args, "config", None):
+            if any(v is not None for v in (args.weights, args.large_sets, args.config)):
                 job = _job_from_args(args)
             elif _flag_instance(args, name):
                 job = Job.all_ones(args.d, args.n)

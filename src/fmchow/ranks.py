@@ -37,66 +37,67 @@ degree above is not enumerated yet.  Every query walks the spans of a ring
 through `map`, in ascending degree, so one span of a ring is alive at a
 time and each span's columns already exclude what the spans below found.
 
-Nor does a slice build a row that is bound to lie in the span of the rows
-before it.  It inserts its relation rows in signature order: the relations
-f_1, f_2, ... in `packed_relations` order (sparse first), and the live
-shifts of one relation ascending.  The row m*f_j has the signature (j, m),
-compared by j and then by m as a packed integer.  That order on monomials
-is lex, and it is a monomial order, since the packed fields never carry:
-m < m' gives q*m < q*m'.  A row is skipped by one criterion (F5's
-rewritten criterion; Gao, Volny and Wang's signature-based Groebner
-bases), which writes it as a combination of rows of smaller signature,
-modulo the dead columns J_k: m = q*s for a recorded zero signature (j, s).
-A relation row s*f_j of some degree e that reduces to zero is a syzygy.
-Only rows of smaller signature went in before it, so its reduction to zero
-says
+Nor does a slice build a row that is bound to be empty or to lie in the
+span of the rows before it.  It inserts its relation rows in signature
+order: the relations f_1, f_2, ... in `packed_relations` order (sparse
+first), and the shifts of one relation ascending.  The row m*f_j has the
+signature (j, m), compared by j and then by m as a packed integer.  That
+order on monomials is lex, and it is a monomial order, since the packed
+fields never carry: m < m' gives q*m < q*m'.  Each relation f_j is
+multiplied only by its shift layer of the shift degree e, which climbs the
+degrees as the live layers do: it holds the live degree-e monomials whose
+degree-(e-1) divisors all lie in f_j's layer below, and the span of degree
+e + deg f_j drops from it every shift whose row was empty or reduced to
+zero.  So a live shift is missing from its layer exactly when it is a
+multiple of a dropped shift, and one rule (F5's rewritten criterion; Gao,
+Volny and Wang's signature-based Groebner bases) skips the multiples of
+empty and zero rows alike.
+
+An empty row s*f_j has every term on a dead column, and so has every
+multiple q*s*f_j, as a multiple of a dead monomial is dead.  A row s*f_j of
+some degree e that reduces to zero is a syzygy.  Only rows of smaller
+signature went in before it, so its reduction to zero says
 
     s*f_j = sum of c*s'*f_i over (i, s') < (j, s), modulo J_e.
 
-The ring records (j, s).  Multiplied by q, the identity writes m*f_j
-through the rows q*s'*f_i, whose signatures (i, q*s') are still below
-(j, q*s), modulo q*J_e.  And q*J_e lies in J_k: the ring only deletes
-monomials from a layer, a layer is frozen once the next is enumerated, and
-each layer is the divisor-closed extension of the one below, less what is
-dead at its degree, so a multiple of a monomial ever dead at degree e is
-dead above it.
+Multiplied by q, the identity writes q*s*f_j through the rows q*s'*f_i,
+whose signatures (i, q*s') are still below (j, q*s), modulo q*J_e.  And
+q*J_e lies in J_k: the ring only deletes monomials from a layer, a layer is
+frozen once the next is enumerated, and each layer is the divisor-closed
+extension of the one below, less what is dead at its degree, so a multiple
+of a monomial ever dead at degree e is dead above it.
 
 By induction over the signatures, every multiple of degree k lies in the
 span of the built rows of signature up to its own, modulo J_k: a multiple
-at a dead shift has every term dead, a built row lies there, and a skipped
-row is a combination of rows of smaller signature.  So the span, and every
-rank, is exactly that of all the multiples.  As a divisor of a live
-monomial is live, the live degree-e shifts that a zero signature's shift of
-degree d covers are it times the live monomials of degree e - d.  An equal
-row is not filtered out: it reduces to zero and is recorded like any other.
+at a dead shift, or at a multiple of an empty row's shift, has every term
+dead, a built row lies there, and a multiple of a zero row's shift is a
+combination of rows of smaller signature.  So the span, and every rank, is
+exactly that of all the multiples.  An equal row is not filtered out: it
+reduces to zero and is dropped like any other.
 
 The order is what makes the criterion sound.  Rows inserted shortest first
-reduce to zero against rows of any signature.  A recorded identity may
+reduce to zero against rows of any signature.  A dropped row's identity may
 then use a row of larger signature, whose multiple is skipped by another
 identity that uses the first row's multiple: the two skips vouch for each
-other, and neither row is in the span.  Recording zero rows under that
+other, and neither row is in the span.  Dropping zero rows under that
 order made the top degree of (1,4) all-large 8 instead of 1.
 
 F5's other criterion, which skips m*f_j when the leading monomial (LM, the
-largest packed term) of an earlier f_i divides m, is not applied: the
-recorded zero rows catch its pairs one degree up.  Writing m = LM(f_i)*m',
+largest packed term) of an earlier f_i divides m, is not applied: the shift
+layers catch its pairs one degree up.  Writing m = LM(f_i)*m',
 
     m*f_j = m'*f_i*f_j - m'*tail(f_i)*f_j,
 
 the first part is a combination of rows of f_i, whose signatures (i, .)
 have i < j, and the second a combination of rows of f_j at shifts below m.
 So the row LM(f_i)*f_j, at m' = 1, is empty or reduces to zero when it is
-built, and a zero row is recorded: the spans above skip its multiples, and
-the multiples of an empty row are empty, as a multiple of a dead monomial
-is dead.  In a ring whose spans are built from degree 0 up, the lead
-criterion would save one inserted row per pair and the empty rows above
-it, for a set of covered shifts rebuilt in every span.
+built, and LM(f_i) is dropped from f_j's shift layer: the spans above skip
+its multiples.  In a ring whose spans are built from degree 0 up, the lead
+criterion would save only that one row per pair.
 
 Extra generators (`insert_products`) follow the relations in the same
-order, at every live shift.  Their zero rows are not recorded on the ring,
-as a query's generators are not the ring's.  Nor is an empty relation row,
-whose terms all lie on dead columns: it is a syzygy too, but recording it
-grows the covered shifts more than it saves.
+order, at every live shift, and drop nothing, as a query's generators are
+not the ring's.
 
 Monomials in a slice are the packed integers of `Poly` itself, so a
 relation's terms go into rows as they are.  The field width comes from the
@@ -174,31 +175,30 @@ def _monomial_counts(caps, top: int) -> list:
 
 def _live_layer(d: int, below: dict, nvars: int, width: int) -> dict:
     """Every degree-d monomial in `nvars` variables whose degree-(d-1)
-    divisors all lie in `below`, packed and ascending, each mapped to its
-    support (its variables' indices, ascending).
+    divisors all lie in `below`, packed and ascending, each mapped to the
+    tuple of those divisors.
 
     `below` is a layer of degree d-1 (None at d = 0).  A monomial is built
-    once, as q*x_i with x_i its last variable; then the divisor by x_i is q,
-    and the others are tested.  For each i in turn, the q with no variable
-    after x_i are a prefix of `below`, and the products come out ascending.
+    once, as q*x_i with x_i its last variable; its divisors are q's times
+    x_i, and q itself when x_i is new.  For each i in turn, the q with no
+    variable after x_i are a prefix of `below`, and the products come out
+    ascending.
     """
     if d == 0:
         return {0: ()}
-    steps = [1 << (i * width) for i in range(nvars)]
+    has = below.__contains__
     out = {}
-    for i, step in enumerate(steps):
+    for i in range(nvars):
+        step = 1 << (i * width)
         bound = step << width  # the first monomial with a variable after x_i
-        for q, support in below.items():
+        for q, divisors in below.items():
             if q >= bound:
                 break
-            if support and support[-1] == i:
-                others = support[:-1]
-            else:
-                others = support
-                support = support + (i,)
-            m = q + step
-            if all(m - steps[j] in below for j in others):
-                out[m] = support
+            divisors = tuple(map(step.__add__, divisors))
+            if q < step:  # x_i is not in q
+                divisors += (q,)
+            if all(map(has, divisors)):
+                out[q + step] = divisors
     return out
 
 
@@ -209,10 +209,10 @@ class GradedRing:
     and each degree's live monomials.  It alone decides which monomials are
     dead, by deleting them from its stored live layers: the killers when a
     layer is enumerated, and what a relation span finds once its rows are
-    in.  It also records the signature (relation, shift) of every relation
-    row that reduced to zero in a span, and each span skips that relation
-    at the shift's multiples (see the module docstring).  Packed monomials
-    are those of the presentation's table."""
+    in.  It also keeps each relation's shift layers, from which the spans
+    drop the shifts whose rows were empty or reduced to zero (see the
+    module docstring).  Packed monomials are those of the presentation's
+    table."""
 
     def __init__(self, p: Presentation):
         self.presentation = p
@@ -253,10 +253,8 @@ class GradedRing:
         return killers
 
     @cached_property
-    def _syzygies(self) -> list:
-        """One list per packed relation of the (shift degree, packed shift)
-        of its rows that reduced to zero in a span (see the module
-        docstring): every span skips the relation at their multiples."""
+    def _shift_layers(self) -> list:
+        """One list per packed relation of its shift layers, by degree."""
         return [[] for _ in self.packed_relations]
 
     @cached_property
@@ -266,9 +264,10 @@ class GradedRing:
 
     def live(self, d: int) -> dict:
         """The live degree-d monomials (see the module docstring), packed
-        and ascending, each mapped to its support; every degree below is
-        enumerated first, once.  A layer is the divisor-closed extension of
-        the one below, less what `_killers` lists at its degree."""
+        and ascending, each mapped to its degree-(d-1) divisors; every
+        degree below is enumerated first, once.  A layer is the
+        divisor-closed extension of the one below, less what `_killers`
+        lists at its degree."""
         layers = self._live
         nvars = len(self.presentation.table)
         while len(layers) <= d:
@@ -278,6 +277,32 @@ class GradedRing:
                 layer.pop(m, None)
             layers.append(layer)
         return layers[d]
+
+    def shift_layer(self, j: int, e: int) -> dict:
+        """The shifts of degree e that packed relation j is multiplied by
+        (see the module docstring): the live monomials whose degree-(e-1)
+        divisors all lie in its layer below, less those a span dropped.
+        Every degree below is built first, once.  The layer is the ring's
+        live layer itself until the relation's first drop at or below its
+        degree.  Callers read it and do not change it."""
+        layers = self._shift_layers[j]
+        while len(layers) <= e:
+            d = len(layers)
+            layer = self.live(d)
+            if d and layers[-1] is not self._live[d - 1]:
+                has = layers[-1].__contains__
+                layer = {m: v for m, v in layer.items() if all(map(has, v))}
+            layers.append(layer)
+        return layers[e]
+
+    def _drop_shifts(self, j: int, e: int, shifts):
+        """Delete shifts from relation j's layer of degree e, copying the
+        ring's live layer at the first drop from it."""
+        layers = self._shift_layers[j]
+        if layers[e] is self._live[e]:
+            layers[e] = dict(layers[e])
+        for m in shifts:
+            del layers[e][m]
 
     def _record_found(self, k: int, monomials):
         """Delete monomials a degree-k relation span found from the stored
@@ -312,11 +337,11 @@ class DegreeSpan:
     columns are the ring's live layer of degree k, largest first, so each
     row is pivoted on its leading monomial, and the monomials the ring
     knows dead are no columns.  Relation rows go in in signature
-    order, and a multiple is skipped when a zero signature the ring
-    recorded for its relation divides its shift (see the module
-    docstring); each relation row here that reduces to zero is recorded
-    in turn.  Once the relation rows are in, each pivot of one entry is a
-    monomial found in the ideal, which the ring deletes from its layer.
+    order, each relation's at the shifts of its shift layer on the ring,
+    and a shift whose row is empty or reduces to zero is dropped from that
+    layer (see the module docstring).  Once the relation rows are in,
+    each pivot of one entry is a monomial found in the ideal, which the
+    ring deletes from its layer.
     Extra generators (ideal generators) can be inserted afterwards at
     every live shift, and single rows (mapped classes) as well.  The
     full basis is counted, not built; `monomials` lists it on first use.
@@ -337,7 +362,7 @@ class DegreeSpan:
         self._products_skipped = 0
         self._syzygies_found = 0
         self._ech = Echelon(len(alive))
-        self._insert_products(ring.packed_relations, ring._syzygies)
+        self._insert_products(ring.packed_relations, True)
         self._relation_rank = self._dead + self._ech.rank
         units = self._ech.unit_columns()
         self._monomials_found = len(units)
@@ -377,16 +402,18 @@ class DegreeSpan:
 
     @property
     def products_skipped(self) -> int:
-        """Multiples not built because a recorded zero signature of their
-        polynomial divides the shift.  It depends on the insertion order,
-        which decides the rows that reduce to zero."""
+        """Live multiples of relations not built because their shift is
+        missing from the relation's shift layer: a multiple of a shift whose
+        row was empty or reduced to zero in a span below.  It depends on the
+        insertion order, which decides the rows that reduce to zero."""
         return self._products_skipped
 
     @property
     def syzygies_found(self) -> int:
-        """Relation rows of this span that reduced to zero, each recorded
-        on the ring as a syzygy whose multiples the spans above skip.  It
-        depends on the insertion order, as `products_skipped` does."""
+        """Relation rows of this span that reduced to zero, each a syzygy
+        whose shift is dropped from its relation's shift layer, so the
+        spans above skip its multiples.  It depends on the insertion order,
+        as `products_skipped` does."""
         return self._syzygies_found
 
     @property
@@ -410,46 +437,38 @@ class DegreeSpan:
                 coeffs.append(c)
         return cols, coeffs
 
-    def _multiples(self, divisors, e: int) -> set:
-        """Degree-e multiples of packed (degree, monomial) divisors that may
-        be live.  A divisor of a live monomial is live, so m * live(e - deg m)
-        holds every live multiple of m."""
-        live = self.ring.live
-        return {m + q for d, m in divisors if d <= e for q in live(e - d)}
+    def _insert_products(self, packed, relations: bool):
+        """Insert the multiples of packed polynomials in signature order:
+        the polynomials in turn, each one's shifts ascending.  The ring's
+        relations (`relations` true) are multiplied by their shift layers,
+        and each shift whose row is empty or reduces to zero is dropped from
+        its layer (see the module docstring).  Extra generators are
+        multiplied by every live shift and drop nothing, as a query's
+        generators are not the ring's.
 
-    def _insert_products(self, packed, syzygies=None):
-        """Insert the live multiples of packed polynomials in signature
-        order: the polynomials in turn, each one's shifts ascending.  A
-        shift is skipped when the shift of one of the polynomial's recorded
-        zero rows divides it (see the module docstring).  `syzygies` is the
-        ring's record, one list of (shift degree, shift) per polynomial, and
-        a row that reduces to zero is appended to its list; extra generators
-        pass None, are inserted at every live shift and record nothing, as
-        a query's generators are not the ring's.  When the first recorded
-        zero row has shift 1 (spans climb the degrees, so a zero row of the
-        polynomial's own degree comes first), it divides every shift, and
-        the polynomial is skipped whole without a covered set."""
+        Spans built out of ascending order stay exact: a shift layer built
+        before a span drops shifts from the layer below it keeps their
+        multiples, so more rows are built, never fewer."""
+        ring = self.ring
         insert = self._ech.insert
         for j, (dg, terms) in enumerate(packed):
             if dg > self.degree:
                 continue
             e = self.degree - dg
-            zeros = None if syzygies is None else syzygies[j]
-            live = self.ring.live(e)
-            if zeros and zeros[0][0] == 0:
-                # its own-degree row reduced to zero: shift 1 divides every shift
-                self._products_skipped += len(live)
-                continue
-            covered = self._multiples(zeros, e) if zeros else ()
-            shifts = [m for m in live if m not in covered]
+            live = ring.live(e)
+            shifts = ring.shift_layer(j, e) if relations else live
             self._products_skipped += len(live) - len(shifts)
+            dropped = []
             for shift in shifts:
                 cols, coeffs = self._row(terms, shift)
                 if cols:
                     self._rows_inserted += 1
-                    if not insert(cols, coeffs) and zeros is not None:
-                        zeros.append((e, shift))
-                        self._syzygies_found += 1
+                    if insert(cols, coeffs):
+                        continue
+                    self._syzygies_found += relations
+                dropped.append(shift)
+            if relations and dropped:
+                ring._drop_shifts(j, e, dropped)
 
     def vector(self, poly: Poly):
         terms = self.ring.packed_terms(poly)
@@ -465,7 +484,7 @@ class DegreeSpan:
         """Insert g*m rows for extra generators at every live shift m;
         returns the rank gain."""
         before = self._ech.rank
-        self._insert_products(self.ring.packed_polys(gens))
+        self._insert_products(self.ring.packed_polys(gens), False)
         return self._ech.rank - before
 
     def insert(self, poly: Poly) -> bool:

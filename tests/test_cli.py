@@ -164,6 +164,15 @@ class TestVerify:
         report = json.loads((out / "report_construction_d1_n3.json").read_text())
         assert report["evidence"]["walks_checked"] == 6
 
+    def test_construction_reads_empty_large_sets(self, tmp_path):
+        # the empty family is an instance of its own, not the all-ones default
+        out = tmp_path / "out"
+        argv = ["verify", "construction", "--d", "1", "--n", "3", "--large-sets", ""]
+        assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads((out / "report_construction_d1_n3.json").read_text())
+        assert report["evidence"]["large_sets"] == []
+        assert report["evidence"]["ranks_presentation"] == [1, 3, 3, 1]
+
     def test_construction_all_walks_over_cap_refuses(self, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -222,6 +231,14 @@ class TestUsageErrors:
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["present", "ranks"])
+    def test_empty_config_path_exits_2(self, tmp_path, command):
+        # an empty path names no file: it is refused, not read as no config
+        out = tmp_path / "out"
+        argv = [command, "--config", "", "--d", "1", "--weights", "1,1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_equivalence_instance_stops_before_any_scenario(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a scenario ran before the bad instance was refused")
@@ -249,21 +266,30 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "flag",
         [
-            ["--d", "3"],
-            ["--n", "3"],
-            ["--weights", "1,1,1"],
-            ["--large-sets", "1,2"],
-            ["--config", "c.json"],
+            ["counterexample", "--d", "3"],
+            ["counterexample", "--n", "3"],
+            ["counterexample", "--weights", "1,1,1"],
+            ["counterexample", "--large-sets", "1,2"],
+            ["counterexample", "--config", "c.json"],
+            ["equivalence", "--weights", "1,1/2,1/2"],
+            ["equivalence", "--large-sets", "1,2"],
+            ["equivalence", "--config", "c.json"],
+            ["equivalence", "--walk", "all"],
+            ["equivalence", "--d", "1", "--n", "3", "--walk", "all"],
+            ["counterexample", "equivalence", "--weights", "1,1,1"],
         ],
     )
     def test_counterexample_alone_refuses_instance_flags(self, tmp_path, monkeypatch, flag):
-        # its instance is fixed, so a flag would be dropped without a word
+        # a flag that no requested scenario reads would be dropped without a
+        # word: the counterexample's instance is fixed, and equivalence reads
+        # only --d and --n
         def never(*args, **kwargs):
-            raise AssertionError("the counterexample ran in spite of an instance flag")
+            raise AssertionError("a scenario ran in spite of a flag it does not read")
 
-        monkeypatch.setattr(fmchow.cli, "check_counterexample", never)
+        for check in ("check_counterexample", "check_equivalence", "check_construction"):
+            monkeypatch.setattr(fmchow.cli, check, never)
         out = tmp_path / "out"
-        assert main(["verify", "counterexample", *flag, "--out", str(out)]) == 2
+        assert main(["verify", *flag, "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize(

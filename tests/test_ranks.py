@@ -276,7 +276,7 @@ class TestGradedRanks:
         ],
     )
     def test_large_slices_agree_with_oracle(self, dim, weights, expected):
-        # the larger slices, where covered multiples are skipped the most
+        # the larger slices, where the shift layers skip the most multiples
         n = len(weights)
         family = LargeFamily.from_weights(Weights.from_strings(weights))
         p = chow_presentation(ProjectiveGeometry(dim, n), family)
@@ -297,7 +297,7 @@ class TestGradedRanks:
         assert graded_ranks(p, monomial_cap=None) == rank_oracle(1, 5, family) == expected
 
     def test_spans_count_rows_and_skipped_multiples(self):
-        # a fresh ring has recorded no zero row, so nothing is skipped and
+        # a fresh ring has dropped no shift, so nothing is skipped and
         # every nonempty live multiple is a row: 5,585 in all
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = [DegreeSpan(GradedRing(p), k) for k in range(p.top_degree + 1)]
@@ -306,13 +306,24 @@ class TestGradedRanks:
         assert all(s.products_skipped == 0 for s in spans)
 
     def test_syzygies_climb_the_degrees_of_a_shared_ring(self):
-        # the zero relation rows a span records skip their multiples in the
-        # spans above it: on the fresh rings above, degrees 3 and 4 insert
-        # 1,084 and 4,348 rows
+        # the empty and zero relation rows a span drops from the shift
+        # layers skip their multiples in the spans above it: on the fresh
+        # rings above, degrees 3 and 4 insert 1,084 and 4,348 rows
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         counts = [(s.rows_inserted, s.products_skipped, s.syzygies_found) for s in spans]
-        assert counts == [(0, 0, 0), (6, 0, 0), (147, 0, 77), (438, 766, 157), (614, 4985, 32)]
+        assert counts == [(0, 0, 0), (6, 0, 0), (147, 0, 77), (438, 766, 157), (614, 5999, 32)]
+
+    def test_a_relation_given_twice_has_empty_shift_layers(self):
+        # the copy comes after the relation, so its own-degree row reduces
+        # to zero: shift 1 is dropped, and no layer above holds a shift
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        twice = max(p.relations, key=lambda r: len(r.packed)) * 2
+        ring = GradedRing(Presentation(p.table, list(p.relations) + [twice], p.top_degree))
+        assert list(map(DegreeSpan.quotient_rank, ring.spans(range(p.top_degree + 1)))) == [1, 9, 16, 9, 1]
+        j = ring.packed_relations.index((twice.homogeneous_degree(), ring.packed_terms(twice)))
+        shift_degrees = range(p.top_degree - twice.homogeneous_degree() + 1)
+        assert [ring.shift_layer(j, e) for e in shift_degrees] == [{} for _ in shift_degrees]
 
     def test_live_monomials_are_enumerated_once_per_slice(self, monkeypatch):
         # the spans of one ring share each degree's live monomials, as
@@ -704,25 +715,25 @@ class TestFoundMonomials:
 def lead_pair_outcomes(p):
     """Walk a ring's spans from degree 0 up, then sort each pair i < j of
     its relations whose row LM(f_i)*f_j lies at or below the top degree:
-    "recorded" when a zero signature the ring recorded for f_j divides
-    LM(f_i), "empty" when no term of the row lies on a live column of its
-    degree's span, and "neither" otherwise."""
+    "kept" when LM(f_i) is still in f_j's shift layer of its degree;
+    otherwise "empty" when no term of the row lies on a live column of its
+    degree's span, and "nonempty" when one does: the row reduced to zero,
+    or a row at a divisor of LM(f_i) was dropped before it."""
     ring = GradedRing(p)
     live = {}
     for span in ring.spans(range(p.top_degree + 1)):
         live[span.degree] = set(map(p.table.pack, span.alive_monomials))
-    unpack = p.table.unpack
     relations = ring.packed_relations
-    outcomes = {"recorded": 0, "empty": 0, "neither": 0}
+    outcomes = {"kept": 0, "empty": 0, "nonempty": 0}
     for j, (dj, terms) in enumerate(relations):
         for di, lead_terms in relations[:j]:
             if di + dj > p.top_degree:
                 continue
             lead = lead_terms[0][0]
-            if any(all(map(int.__le__, unpack(s), unpack(lead))) for _, s in ring._syzygies[j]):
-                outcome = "recorded"
+            if lead in ring.shift_layer(j, di):
+                outcome = "kept"
             elif any(t + lead in live[di + dj] for t, _ in terms):
-                outcome = "neither"
+                outcome = "nonempty"
             else:
                 outcome = "empty"
             outcomes[outcome] += 1
@@ -731,8 +742,9 @@ def lead_pair_outcomes(p):
 
 class TestLeadPairs:
     """The lead criterion is not applied: the row LM(f_i)*f_j of a pair
-    i < j is empty or reduces to zero, and a zero row is recorded, so the
-    spans above skip its multiples (see the `fmchow.ranks` docstring)."""
+    i < j is empty or reduces to zero, so LM(f_i) is dropped from f_j's
+    shift layer and the spans above skip its multiples (see the
+    `fmchow.ranks` docstring)."""
 
     @pytest.mark.parametrize(
         "dim, weights",
@@ -746,13 +758,13 @@ class TestLeadPairs:
     def test_lead_pairs_of_the_ladder_are_recorded_or_empty(self, dim, weights):
         family = LargeFamily.from_weights(Weights.from_strings(weights))
         outcomes = lead_pair_outcomes(chow_presentation(ProjectiveGeometry(dim, len(weights)), family))
-        assert outcomes["neither"] == 0
-        assert outcomes["recorded"] > 0
+        assert outcomes["kept"] == 0
+        assert outcomes["nonempty"] > 0
 
     @settings(deadline=None, max_examples=100)
     @given(low_binomial_presentations())
     def test_lead_pairs_of_low_binomials_are_recorded_or_empty(self, p):
-        assert lead_pair_outcomes(p)["neither"] == 0
+        assert lead_pair_outcomes(p)["kept"] == 0
 
 
 class TestStandardMonomials:
