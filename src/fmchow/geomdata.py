@@ -48,11 +48,17 @@ class ProjectiveGeometry:
 
     def table_for(self, large: LargeFamily) -> VarTable:
         """h variables followed by one divisor variable per large set, in
-        (size, lexicographic) order."""
+        the reverse of (size, lexicographic) order: the smallest sets get
+        the highest packed fields, so they lead the relations they occur
+        in, as on the table of a superset-first walk.  On P^1 each pair's
+        Chern relation then leads with the pair's divisor, which the ring
+        solves for (see `fmchow.ranks`).  The variable order changes no
+        rank, membership or printed presentation, which is put in
+        canonical variable order first."""
         if large.n != self.n:
             raise ValueError("family and geometry disagree on the number of points")
         divisors = tuple(
-            Var(divisor_name(s), 1, None) for s in large.sorted_members()
+            Var(divisor_name(s), 1, None) for s in reversed(large.sorted_members())
         )
         return VarTable(self.point_table().vars + divisors)
 

@@ -10,11 +10,34 @@ reporting surfaces: non-membership over the rationals certifies
 non-membership over the integers, but a positive membership answer is
 rational membership only -- integral torsion is out of scope.
 
+The relations of degree 1 are solved before any slice is built.  Over
+the live variables, numbered from the largest down as a slice's columns
+are, they are put in reduced echelon form (`Echelon.reduced_rows`): each
+row a*x - L(x), with a > 0, leads with its largest variable x, and no
+other row holds x.  Every other relation, each capped x's power x^cap,
+and every extra generator and query is rewritten with each solved x
+replaced by L(x)/a, times a power of a that keeps it integral, so the
+rest of this docstring applies to the rewritten ring in the other
+variables.  It is exact by a Groebner-basis argument in the lex order of
+the slices (Cox, Little and O'Shea, "Ideals, Varieties, and Algorithms",
+ch. 2-3): the rows x - L(x)/a, whose leading monomial is x as L holds
+only smaller variables, together with a Groebner basis of the rewritten
+ideal, which holds no solved variable, form a Groebner basis of the
+relation ideal I.  So the monomials free of solved variables that the
+rewritten ideal leaves standard are exactly I's standard monomials, each
+rank is the same, and a form lies in I iff its rewritten form lies in the
+rewritten ideal.  The solved variables, and with them their multiples,
+are dead columns: each leads an element x*m - L(x)*m/a of the linear part
+of I, which is not x*m itself.  A ring with no relation of degree 1
+skips all of this.
+
 A degree slice builds no dead column.  The dead columns of degree k are
-the degree-k monomials of a monomial ideal J that lies inside the relation
-ideal I.  J is generated by the monomials known dead at their degree: each
-capped variable's vanishing power x_i^cap, the single-term relations
-("killers"), and every monomial that a lower relation span found.  A pivot
+the degree-k monomials of a monomial ideal J.  J is generated by the
+monomials known dead at their degree: each capped variable's vanishing
+power x_i^cap, the single-term relations ("killers"), the solved
+variables, and every monomial that a lower relation span found.  Apart
+from the multiples of the solved variables, which lead elements of the
+linear part of I as above, J lies inside the relation ideal I.  A pivot
 row of one entry m, built from relation rows alone, says that c*m is a
 combination of relation multiples modulo the dead columns of its degree,
 which lie in I by induction, so m and each of its multiples at every
@@ -173,23 +196,25 @@ def _monomial_counts(caps, top: int) -> list:
     return counts
 
 
-def _live_layer(d: int, below: dict, nvars: int, width: int) -> dict:
-    """Every degree-d monomial in `nvars` variables whose degree-(d-1)
-    divisors all lie in `below`, packed and ascending, each mapped to the
-    tuple of those divisors.
+def _live_layer(d: int, below: dict, steps, width: int, top: bool) -> dict:
+    """Every degree-d monomial q*x with x one of the packed variables
+    `steps` (ascending) whose degree-(d-1) divisors all lie in `below`,
+    packed and ascending, each mapped to the tuple of those divisors, or
+    to None at the ring's `top` degree, whose divisors nothing reads.
 
     `below` is a layer of degree d-1 (None at d = 0).  A monomial is built
     once, as q*x_i with x_i its last variable; its divisors are q's times
-    x_i, and q itself when x_i is new.  For each i in turn, the q with no
+    x_i, and q itself when x_i is new.  For each x_i in turn, the q with no
     variable after x_i are a prefix of `below`, and the products come out
-    ascending.
+    ascending.  Above degree 1 the steps need only be the live variables:
+    a multiple of a dead variable has a divisor one degree down that holds
+    it, which is dead.
     """
     if d == 0:
         return {0: ()}
     has = below.__contains__
     out = {}
-    for i in range(nvars):
-        step = 1 << (i * width)
+    for step in steps:
         bound = step << width  # the first monomial with a variable after x_i
         for q, divisors in below.items():
             if q >= bound:
@@ -198,8 +223,139 @@ def _live_layer(d: int, below: dict, nvars: int, width: int) -> dict:
             if q < step:  # x_i is not in q
                 divisors += (q,)
             if all(map(has, divisors)):
-                out[q + step] = divisors
+                out[q + step] = None if top else divisors
     return out
+
+
+class _LinearPart:
+    """The degree-1 relations of a ring in reduced echelon form, each row
+    a*x = (the rest of its row) solved for its leading variable x, and the
+    rewriting that puts the rest of the row in place of each solved
+    variable (see the module docstring).
+
+    The rows are those of the live degree-1 variables, numbered from the
+    largest down as a span's columns are, so each row leads with its
+    largest variable and holds no other solved one."""
+
+    def __init__(self, rows, killers, table):
+        w = table.width
+        dead = set(killers.get(1, ()))
+        columns = [v for v in (1 << (i * w) for i in reversed(range(len(table)))) if v not in dead]
+        index = {v: c for c, v in enumerate(columns)}
+        ech = Echelon(len(columns))
+        for row in rows:
+            entries = sorted((index[m], c) for m, c in row.items() if m in index)
+            if entries:
+                ech.insert([c for c, _ in entries], [v for _, v in entries])
+        #: solved variable -> (a, [(y, c), ...]) with a*x = sum of c*y modulo I
+        self.solved = {
+            columns[lead]: (coeffs[0], [(columns[c], -v) for c, v in zip(cols[1:], coeffs[1:])])
+            for lead, (cols, coeffs) in ech.reduced_rows().items()
+        }
+        field = (1 << w) - 1
+        self.mask = 0  # the fields of the solved variables
+        for x in self.solved:
+            self.mask |= x * field
+        self._field, self._width, self._table = field, w, table
+        # the killers free of solved variables by each variable y they hold:
+        # the fields of the z with y*z a killer, and the other killers
+        killers_of = {}
+        for monomials in killers.values():
+            for g in monomials:
+                if g & self.mask:
+                    continue
+                rest = g
+                while rest:
+                    shift = ((rest & -rest).bit_length() - 1) // w * w
+                    rest &= ~(field << shift)
+                    y = 1 << shift
+                    of = killers_of.setdefault(y, [0, []])
+                    z = g - y
+                    if z % field == 1:  # degree 1: z is a variable
+                        of[0] |= field << (z.bit_length() - 1)
+                    else:
+                        of[1].append(g)
+        self._killers_of = killers_of
+        self._expansions = {}  # see `_expansion`
+
+    def _over_cap(self, u: int) -> bool:
+        """Whether a variable cap divides the packed monomial u, by the
+        add-and-mask of `Poly` multiplication, which also refuses an
+        uncapped exponent over the field's bound."""
+        table = self._table
+        over = (u + table._bias) & table._guard
+        if over & table._overflow:
+            raise StructureError(table._too_large())
+        return bool(over)
+
+    def _expansion(self, s: int) -> list:
+        """The packed terms of the product of the rests of the solved
+        variables in the monomial s, each to its exponent in s, made once:
+        one degree-1 factor y at a time, dropping a product term u = t*y as
+        soon as it is known dead where t is not, as its multiples are dead
+        too.  That is when a cap divides u, or a killer, which then holds
+        y.  The packed fields never carry, so a killer g divides u iff
+        u - g, taken with every guard bit set, keeps them all."""
+        got = self._expansions.get(s)
+        if got is None:
+            w, field, killers_of = self._width, self._field, self._killers_of
+            bias, guard = self._table._bias, self._table._guard
+            partial = {0: 1}
+            hit = s
+            while hit:
+                shift = ((hit & -hit).bit_length() - 1) // w * w
+                e = (hit >> shift) & field
+                hit -= e << shift
+                factor = [(y, b, *killers_of.get(y, (0, ()))) for y, b in self.solved[1 << shift][1]]
+                for _ in range(e):
+                    product = {}
+                    for t, c in partial.items():
+                        for y, b, fields, others in factor:
+                            u = t + y
+                            if (
+                                (u + bias) & guard and self._over_cap(u)
+                                or t & fields
+                                or others and any(((u | guard) - g) & guard == guard for g in others)
+                            ):
+                                continue
+                            product[u] = product.get(u, 0) + c * b
+                    partial = product
+            got = self._expansions[s] = [(u, c) for u, c in partial.items() if c]
+        return got
+
+    def rewrite(self, packed: dict) -> dict:
+        """Packed terms with every solved variable x replaced by its row's
+        rest over a, times the product over the solved x of a**(the largest
+        exponent of x), so the result stays integral.  Terms free of solved
+        variables come back as they are.  A term's solved part is replaced
+        by its `_expansion`, and a product with the rest of the term over a
+        variable cap is dropped; the row builder drops any other product
+        term in J."""
+        mask = self.mask
+        if not any(m & mask for m in packed):
+            return packed
+        field, bias, guard = self._field, self._table._bias, self._table._guard
+        # (shift, a, largest exponent) of each solved variable whose lead a is not 1
+        scales = []
+        for x, (a, _) in self.solved.items():
+            if a != 1:
+                shift = x.bit_length() - 1
+                scales.append((shift, a, max((m >> shift) & field for m in packed)))
+        out = {}
+        for m, c in packed.items():
+            for shift, a, most in scales:
+                c *= a ** (most - ((m >> shift) & field))
+            hit = m & mask
+            if not hit:
+                out[m] = out.get(m, 0) + c
+                continue
+            rest = m - hit
+            for u, b in self._expansion(hit):
+                u += rest
+                if rest and (u + bias) & guard and self._over_cap(u):
+                    continue
+                out[u] = out.get(u, 0) + c * b
+        return {u: c for u, c in out.items() if c}
 
 
 class GradedRing:
@@ -213,6 +369,10 @@ class GradedRing:
     drop the shifts whose rows were empty or reduced to zero (see the
     module docstring).  Packed monomials are those of the presentation's
     table."""
+
+    #: None until `_split` looks for a linear part, then the ring's
+    #: `_LinearPart`, or False when it has none
+    _linear = None
 
     def __init__(self, p: Presentation):
         self.presentation = p
@@ -239,41 +399,79 @@ class GradedRing:
         return (DegreeSpan(self, k) for k in degrees)
 
     @cached_property
-    def _killers(self) -> dict:
-        """Degree -> the packed monomials known dead at that degree before
-        any span is built: each capped variable's power x_i^cap, and the
-        single-term relations."""
+    def _split(self) -> tuple:
+        """(killers, packed relations): degree -> the packed monomials known
+        dead at that degree before any span is built, and the other
+        relations as `packed_polys` gives them.
+
+        The dead monomials are each capped variable's power x_i^cap and the
+        single-term relations.  When the relations of degree 1 (a packed
+        monomial of degree 1 is 1 modulo 2**w - 1) solve for a variable,
+        the ring keeps their `_LinearPart` in `_linear`, and the dead ones
+        are instead those free of solved variables, the solved variables
+        and the rewritten relations of one term: every other relation,
+        and the cap x^cap of a solved x, is rewritten, and those of degree
+        1 rewrite to zero."""
+        p = self.presentation
         killers = {}
-        for i, cap in enumerate(self.presentation.table.caps()):
+        for i, cap in enumerate(p.table.caps()):
             if cap is not None:
                 killers.setdefault(cap, set()).add(cap << (i * self.width))
-        for r in self.presentation.relations:
+        field = (1 << self.width) - 1
+        rows = []
+        for r in p.relations:
             if len(r.packed) == 1:
                 killers.setdefault(r.homogeneous_degree(), set()).update(r.packed)
-        return killers
+            elif next(iter(r.packed)) % field == 1:
+                rows.append(r.packed)
+        linear = _LinearPart(rows, killers, p.table) if rows else None
+        if linear is None or not linear.solved:
+            self._linear = False
+            return killers, self.packed_polys(r for r in p.relations if len(r.packed) > 1)
+        self._linear = linear
+        mask, caps = linear.mask, p.table.caps()
+        killers = {d: {m for m in ms if not m & mask} for d, ms in killers.items()}
+        killers.setdefault(1, set()).update(linear.solved)
+        polys = [r for r in p.relations if len(r.packed) > 1 or any(m & mask for m in r.packed)]
+        for x in linear.solved:
+            cap = caps[(x.bit_length() - 1) // self.width]
+            if cap is not None:
+                polys.append(Poly._of(p.table, linear.rewrite({cap * x: 1})))
+        relations = []
+        for dg, terms in self.packed_polys(polys):
+            if len(terms) == 1:
+                killers.setdefault(dg, set()).add(terms[0][0])
+            else:
+                relations.append((dg, terms))
+        return killers, relations
+
+    @property
+    def packed_relations(self) -> list:
+        """The relations other than killers, as `packed_polys` gives them,
+        rewritten when the ring has a linear part (see `_split`)."""
+        return self._split[1]
 
     @cached_property
     def _shift_layers(self) -> list:
         """One list per packed relation of its shift layers, by degree."""
         return [[] for _ in self.packed_relations]
 
-    @cached_property
-    def packed_relations(self) -> list:
-        """The relations other than killers, as `packed_polys` gives them."""
-        return self.packed_polys(r for r in self.presentation.relations if len(r.packed) > 1)
-
     def live(self, d: int) -> dict:
         """The live degree-d monomials (see the module docstring), packed
-        and ascending, each mapped to its degree-(d-1) divisors; every
-        degree below is enumerated first, once.  A layer is the
-        divisor-closed extension of the one below, less what `_killers`
-        lists at its degree."""
+        and ascending, each mapped to its degree-(d-1) divisors (None at
+        the top degree); every degree below is enumerated first, once.  A
+        layer is the divisor-closed extension of the one below, less what
+        `_split` knows dead at its degree."""
         layers = self._live
-        nvars = len(self.presentation.table)
         while len(layers) <= d:
             e = len(layers)
-            layer = _live_layer(e, layers[-1] if layers else None, nvars, self.width)
-            for m in self._killers.get(e, ()):
+            if e > 1:
+                steps = layers[1]  # the live variables
+            else:
+                steps = [1 << (i * self.width) for i in range(len(self.presentation.table))]
+            top = e == self.presentation.top_degree
+            layer = _live_layer(e, layers[-1] if layers else None, steps, self.width, top)
+            for m in self._split[0].get(e, ()):
                 layer.pop(m, None)
             layers.append(layer)
         return layers[d]
@@ -284,7 +482,13 @@ class GradedRing:
         divisors all lie in its layer below, less those a span dropped.
         Every degree below is built first, once.  The layer is the ring's
         live layer itself until the relation's first drop at or below its
-        degree.  Callers read it and do not change it."""
+        degree.  Callers read it and do not change it.
+
+        A packed relation has degree 1 or more, as a form of degree 0 is
+        one term, a killer; so e stays below the top degree, whose live
+        layer keeps no divisors."""
+        if 0 < self.presentation.top_degree <= e:
+            raise ValueError(f"no shift layer at degree {e}, the top degree or above")
         layers = self._shift_layers[j]
         while len(layers) <= e:
             d = len(layers)
@@ -315,19 +519,26 @@ class GradedRing:
                 del layer[m]
 
     def packed_terms(self, poly: Poly) -> list:
-        """(packed monomial, coefficient) pairs of a polynomial, descending:
-        the first term is the leading monomial.
+        """(packed monomial, coefficient) pairs of a polynomial, rewritten
+        by the ring's linear part if it has one, descending: the first term
+        is the leading monomial.
         Raises StructureError for a polynomial over another table, whose
         packed fields would be read as the wrong variables."""
         if poly.table != self.presentation.table:
             raise StructureError("polynomial over a different variable table than the presentation")
-        return sorted(poly.packed.items(), reverse=True)
+        linear = self._linear
+        if linear is None:  # the relations are not split yet
+            self._split
+            linear = self._linear
+        packed = linear.rewrite(poly.packed) if linear else poly.packed
+        return sorted(packed.items(), reverse=True)
 
     def packed_polys(self, polys) -> list:
-        """(degree, packed terms) of each nonzero polynomial, sparse first
-        (stable); the first term is the leading monomial."""
-        polys = sorted((g for g in polys if not g.is_zero()), key=lambda g: len(g.packed))
-        return [(g.homogeneous_degree(), self.packed_terms(g)) for g in polys]
+        """(degree, packed terms) of each polynomial whose terms are not all
+        rewritten away, sparse first (stable); the first term is the
+        leading monomial."""
+        packed = [(g.homogeneous_degree(), self.packed_terms(g)) for g in polys if not g.is_zero()]
+        return sorted((pair for pair in packed if pair[1]), key=lambda pair: len(pair[1]))
 
 
 class DegreeSpan:
@@ -472,9 +683,7 @@ class DegreeSpan:
 
     def vector(self, poly: Poly):
         terms = self.ring.packed_terms(poly)
-        if not terms:
-            return [], []
-        if poly.homogeneous_degree() != self.degree:
+        if not poly.is_zero() and poly.homogeneous_degree() != self.degree:
             raise DegreeError(
                 f"expected a homogeneous polynomial of degree {self.degree}"
             )

@@ -146,19 +146,23 @@ def check_counterexample(monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> VerdictRep
 
 
 def _ranks_and_outside(p: Presentation, queries, monomial_cap) -> tuple:
-    """Graded ranks of p and, as strings in order, the queries (relations,
-    so in degree order) outside its relation ideal, from one span a degree."""
+    """Graded ranks of p and, as strings, the queries (relations over p's
+    table) outside its relation ideal, from one span a degree.  The
+    outside relations are printed as `Presentation.dump` prints relations:
+    in canonical variable order, sign-normalized and sorted there, so the
+    report does not depend on the order of p's table."""
     by_degree = {}
     for f in queries:
         by_degree.setdefault(f.homogeneous_degree(), []).append(f)
 
     def answer(span):
-        outside = [str(f) for f in by_degree.get(span.degree, ()) if not span.reduces_to_zero(f)]
+        outside = [f for f in by_degree.get(span.degree, ()) if not span.reduces_to_zero(f)]
         return span.quotient_rank(), outside
 
     # map holds one span at a time
     answers = list(map(answer, GradedRing(p).spans(range(p.top_degree + 1), monomial_cap)))
-    return [rank for rank, _ in answers], [f for _, outside in answers for f in outside]
+    outside = Presentation(p.table, [f for _, fs in answers for f in fs], p.top_degree)
+    return [rank for rank, _ in answers], [str(f) for f in outside.canonical_var_order().relations]
 
 
 def check_equivalence(
@@ -210,11 +214,16 @@ def check_construction(
 
     Every walk's presentation is built and put in canonical variable
     order, and `graded_ranks` runs once per distinct canonical
-    presentation; each walk reports its class's table.  Equal canonical
+    presentation, on the first walk's presentation in its own walk-order
+    table; each walk reports its class's table.  Equal canonical
     presentations name the same variables and relations, so the walks'
     rings differ only by a variable permutation, a graded isomorphism:
-    the one rank table is exact for each.  The evidence counts the
-    walks checked and the presentations ranked."""
+    the one rank table is exact for each, and in either variable order.
+    A walk is superset-first, so its table puts each set's divisor in a
+    lower field than its subsets': the smallest sets lead, as in
+    `ProjectiveGeometry.table_for`, where the canonical order has the
+    largest lead.  The evidence counts the walks checked and the
+    presentations ranked."""
     if walks not in ("canonical", "all"):
         raise ValueError("walks must be 'canonical' or 'all'")
     start = time.perf_counter()
@@ -230,10 +239,11 @@ def check_construction(
     ranked = {}
     walk_tables = []
     for walk in walk_list:
-        p = iterated_presentation(geom, large, walk).canonical_var_order()
-        if p not in ranked:
-            ranked[p] = graded_ranks(p, monomial_cap)
-        walk_tables.append(ranked[p])
+        p = iterated_presentation(geom, large, walk)
+        key = p.canonical_var_order()
+        if key not in ranked:
+            ranked[key] = graded_ranks(p, monomial_cap)
+        walk_tables.append(ranked[key])
 
     tables = [direct, oracle] + walk_tables
     passed = all(t == direct for t in tables)

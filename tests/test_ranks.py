@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -12,8 +13,8 @@ import fmchow.ranks
 from fmchow._elim import Echelon
 from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
 from fmchow.geomdata import ProjectiveGeometry
-from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable, _mono_key
-from fmchow.present import blowup_step, chow_presentation
+from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable, _mono_key, divisor_name
+from fmchow.present import blowup_step, chow_presentation, iterated_presentation
 from fmchow.ranks import (
     DegreeSpan,
     GradedRing,
@@ -40,9 +41,10 @@ def blown_up_p3():
     return Presentation(table, rels, 3), h, e
 
 
-def dense_pivot_columns(rows, ncols):
-    """Independent oracle: plain Gaussian elimination over Fractions, column
-    by column from the first; the columns that get a pivot, ascending."""
+def dense_reduced_rows(rows, ncols):
+    """Independent oracle: plain Gauss-Jordan elimination over Fractions,
+    column by column from the first; pivot column -> its row of the
+    reduced row-echelon form (lead 1), in ascending pivot order."""
     mat = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
     pivots = []
     for col in range(ncols):
@@ -58,7 +60,12 @@ def dense_pivot_columns(rows, ncols):
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
-    return pivots
+    return dict(zip(pivots, mat))
+
+
+def dense_pivot_columns(rows, ncols):
+    """The columns that get a pivot in `dense_reduced_rows`, ascending."""
+    return list(dense_reduced_rows(rows, ncols))
 
 
 def dense_rank(rows, ncols):
@@ -136,6 +143,27 @@ class TestEliminationKernels:
                 assert ech.rank == ref.rank
                 assert ech.contains(cols, coeffs)
                 assert all(pcols is not cols and pc is not coeffs for pcols, pc in ech._pivots.values())
+
+    def test_reduced_rows_are_the_dense_reduced_form(self):
+        # back-substitution: every pivot row, scaled to lead 1, is the
+        # Gauss-Jordan row of its lead, and the pivots are unchanged
+        rng = random.Random(20261019)
+        for trial in range(150):
+            ncols = rng.randint(4, 12)
+            rows = random_kernel_rows(rng, ncols)
+            ech = Echelon(ncols)
+            for row in rows:
+                cols = sorted(row)
+                ech.insert(cols, [row[c] for c in cols])
+            pivots = dict(ech._pivots)
+            reduced = ech.reduced_rows()
+            assert ech._pivots == pivots
+            dense = dense_reduced_rows(rows, ncols)
+            assert sorted(reduced) == list(dense)
+            for lead, (cols, coeffs) in reduced.items():
+                assert coeffs[0] > 0 and gcd(*coeffs) == 1
+                scaled = {c: Fraction(v, coeffs[0]) for c, v in zip(cols, coeffs)}
+                assert scaled == {c: v for c, v in enumerate(dense[lead]) if v}
 
     def test_rank_matches_dense_oracle(self):
         rng = random.Random(20240811)
@@ -298,21 +326,22 @@ class TestGradedRanks:
 
     def test_spans_count_rows_and_skipped_multiples(self):
         # a fresh ring has dropped no shift, so nothing is skipped and
-        # every nonempty live multiple is a row: 5,585 in all
+        # every nonempty live multiple is a row: 3,086 in all.  The six
+        # degree-1 relations are solved, not rows
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = [DegreeSpan(GradedRing(p), k) for k in range(p.top_degree + 1)]
         assert [s.quotient_rank() for s in spans] == [1, 9, 16, 9, 1]
-        assert [s.rows_inserted for s in spans] == [0, 6, 147, 1084, 4348]
+        assert [s.rows_inserted for s in spans] == [0, 0, 81, 646, 2359]
         assert all(s.products_skipped == 0 for s in spans)
 
     def test_syzygies_climb_the_degrees_of_a_shared_ring(self):
         # the empty and zero relation rows a span drops from the shift
         # layers skip their multiples in the spans above it: on the fresh
-        # rings above, degrees 3 and 4 insert 1,084 and 4,348 rows
+        # rings above, degrees 3 and 4 insert 646 and 2,359 rows
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         counts = [(s.rows_inserted, s.products_skipped, s.syzygies_found) for s in spans]
-        assert counts == [(0, 0, 0), (6, 0, 0), (147, 0, 77), (438, 766, 157), (614, 5999, 32)]
+        assert counts == [(0, 0, 0), (0, 0, 0), (81, 0, 62), (148, 558, 74), (105, 2807, 2)]
 
     def test_a_relation_given_twice_has_empty_shift_layers(self):
         # the copy comes after the relation, so its own-degree row reduces
@@ -324,6 +353,20 @@ class TestGradedRanks:
         j = ring.packed_relations.index((twice.homogeneous_degree(), ring.packed_terms(twice)))
         shift_degrees = range(p.top_degree - twice.homogeneous_degree() + 1)
         assert [ring.shift_layer(j, e) for e in shift_degrees] == [{} for _ in shift_degrees]
+
+    def test_no_shift_layer_reaches_the_top_degree(self):
+        # the top live layer keeps no divisors: only a relation of degree 0
+        # would be shifted by it, and such a form is a constant, a killer.
+        # A constant generator is shifted by the top live monomials alone
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        ring = GradedRing(p)
+        assert list(map(DegreeSpan.quotient_rank, ring.spans(range(5)))) == [1, 9, 16, 9, 1]
+        assert set(ring.live(4).values()) == {None}
+        with pytest.raises(ValueError, match="top degree"):
+            ring.shift_layer(0, 4)
+        one = Poly.constant(p.table, 1)
+        assert graded_ranks(Presentation(p.table, list(p.relations) + [2 * one], 4)) == [0] * 5
+        assert ideal_ranks(p, [one]) == [1, 9, 16, 9, 1]
 
     def test_live_monomials_are_enumerated_once_per_slice(self, monkeypatch):
         # the spans of one ring share each degree's live monomials, as
@@ -406,8 +449,22 @@ def low_binomial_presentations(draw):
     return Presentation(table, relations, top)
 
 
+def solved_variables(p):
+    """The leads of the reduced echelon form of the degree-1 relations with
+    the variables largest first, by dense elimination: the variables the
+    ring solves for, and those that a degree-1 killer kills."""
+    variables = brute_basis(p, 1)[::-1]
+    col = {m: i for i, m in enumerate(variables)}
+    rows = dense_multiples(p, [r for r in p.relations if r.homogeneous_degree() == 1], 1, col)
+    return [variables[c] for c in dense_pivot_columns(rows, len(variables))]
+
+
 def killers_of(p):
-    return [next(iter(r.terms)) for r in p.relations if len(r.terms) == 1]
+    """The single-term relations and the solved variables.  A solved
+    variable x is dead at degree 1 although x is not in the relation ideal:
+    x - L(x) is, so x and its multiples lead elements of the ideal's linear
+    part, and the ring counts them as dead."""
+    return [next(iter(r.terms)) for r in p.relations if len(r.terms) == 1] + solved_variables(p)
 
 
 def brute_basis(p, k):
@@ -697,7 +754,7 @@ class TestFoundMonomials:
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         assert [(s.quotient_rank(), s.monomials_found) for s in spans] == [
-            (1, 0), (9, 0), (16, 0), (9, 17), (1, 46)
+            (1, 0), (9, 0), (16, 0), (9, 11), (1, 26)
         ]
 
     def test_a_late_span_records_nothing_for_an_enumerated_degree(self):
@@ -707,9 +764,124 @@ class TestFoundMonomials:
         ring = GradedRing(p)
         top = DegreeSpan(ring, 4)
         late = DegreeSpan(ring, 3)
-        assert late.monomials_found == 17
+        assert late.monomials_found == 11
         assert late.alive_monomials == tuple(map(p.table.unpack, ring.live(3)))
         assert top.quotient_rank() == DegreeSpan(ring, 4).quotient_rank() == 1
+
+
+@st.composite
+def linear_presentations(draw):
+    """Presentations in 2-4 variables of top degree 2-4 with one or two
+    relations of degree 1 and up to three of higher degree.  The first
+    degree-1 relation holds the last variable, which leads it and is often
+    capped; coefficients run over +-1..3, so leads other than 1 are common.
+    The others are killers and binomials of degree 2 up to the top."""
+    top = draw(st.sampled_from((2, 3, 4)))
+    nvars = draw(st.integers(2, 4))
+    caps = draw(st.lists(st.none() | st.integers(2, top + 1), min_size=nvars, max_size=nvars))
+    table = VarTable(tuple(Var(f"x{i}", 1, cap) for i, cap in enumerate(caps)))
+    coefficient = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    relations = []
+    for i in range(draw(st.integers(1, 2))):
+        support = set(draw(st.lists(st.integers(0, nvars - 1), min_size=2, max_size=3, unique=True)))
+        if i == 0:
+            support.add(nvars - 1)
+        units = {tuple(int(j == v) for j in range(nvars)): draw(coefficient) for v in support}
+        relations.append(Poly(table, units))
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(2, top))
+        terms = {draw_monomial(draw, nvars, degree): draw(coefficient)}
+        if draw(st.booleans()):
+            terms[draw_monomial(draw, nvars, degree)] = draw(coefficient)
+        relations.append(Poly(table, terms))
+    return Presentation(table, relations, top)
+
+
+def dense_quotient_ranks(p):
+    """Graded ranks of p by dense elimination of every relation multiple."""
+    ranks = []
+    for k in range(p.top_degree + 1):
+        basis = brute_basis(p, k)
+        col = {m: i for i, m in enumerate(basis)}
+        ranks.append(len(basis) - dense_rank(dense_multiples(p, p.relations, k, col), len(basis)))
+    return ranks
+
+
+class TestLinearPart:
+    """A ring solves its degree-1 relations for their leading variables and
+    rewrites every other relation, generator and query without them; the
+    dense references know nothing of it."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(linear_presentations(), st.data())
+    def test_whole_ring_matches_dense_reference(self, p, data):
+        p, extra, gens = dense_forms(data, p, st.integers(0, 2))
+        solved = set(solved_variables(p))
+        assert solved
+        for span in GradedRing(p).spans(range(p.top_degree + 1)):
+            if span.degree == 1:
+                assert not solved & set(span.alive_monomials)
+            check_span_against_dense(span, p, extra, gens, data)
+
+    @settings(deadline=None, max_examples=100)
+    @given(linear_presentations(), st.data())
+    def test_memberships_and_ideal_ranks_match_dense_reference(self, p, data):
+        table, top = p.table, p.top_degree
+        count = data.draw(st.integers(0, 2))
+        gens = [draw_form(data, table, data.draw(st.integers(1, top))) for _ in range(count)]
+        queries = []
+        expected = []
+        ideal = []
+        for k in range(top + 1):
+            basis = brute_basis(p, k)
+            col = {m: i for i, m in enumerate(basis)}
+            rows = dense_multiples(p, p.relations, k, col)
+            both = rows + dense_multiples(p, gens, k, col)
+            rank = dense_rank(both, len(basis))
+            ideal.append(rank - dense_rank(rows, len(basis)))
+            factors = [
+                g for g in gens + list(p.relations) if not g.is_zero() and g.homogeneous_degree() <= k
+            ]
+            forms = [draw_form(data, table, k)]
+            if factors:
+                g = data.draw(st.sampled_from(factors))
+                forms.append(g * draw_form(data, table, k - g.homogeneous_degree()))
+            for f in forms:
+                queries.append(f)
+                row = {col[m]: c for m, c in f.terms.items()}
+                expected.append(dense_rank(both + [row], len(basis)) == rank)
+        assert memberships(p, gens, queries) == expected
+        assert ideal_ranks(p, gens) == ideal
+
+    @settings(deadline=None, max_examples=60)
+    @given(linear_presentations(), st.data())
+    def test_kernel_ranks_match_dense_reference(self, p, data):
+        # the identity onto the ring with extra relations, a degree-1 one
+        # among them at times: the kernel is the drop in quotient rank
+        target, _, _ = dense_forms(data, p, st.integers(1, 2))
+        images = {name: Poly.variable(p.table, name) for name in p.table.names()}
+        drop = [a - b for a, b in zip(dense_quotient_ranks(p), dense_quotient_ranks(target))]
+        assert kernel_ranks(p, target, images) == drop
+
+    def test_a_fresh_ring_rewrites_a_query(self):
+        # packing a form solves the linear part first, before any span
+        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        pair = Poly.variable(p.table, "D{1,2}")
+        terms = GradedRing(p).packed_terms(pair)
+        split = GradedRing(p)
+        assert split.packed_relations
+        assert terms == split.packed_terms(pair)
+        assert terms and not any(p.table.unpack(m)[p.table.index("D{1,2}")] for m, _ in terms)
+
+    @pytest.mark.parametrize("build", [chow_presentation, iterated_presentation])
+    def test_no_live_column_holds_a_solved_variable(self, build):
+        # (1,5) all-large: each pair's Chern relation is solved for its divisor
+        p = build(ProjectiveGeometry(1, 5), LargeFamily.all_subsets(5))
+        solved = [m.index(1) for m in solved_variables(p)]
+        pairs = sorted(divisor_name(s) for s in combinations(range(1, 6), 2))
+        assert sorted(p.table.names()[i] for i in solved) == pairs
+        spans = GradedRing(p).spans(range(p.top_degree + 1))
+        assert not any(m[i] for span in spans for m in span.alive_monomials for i in solved)
 
 
 def lead_pair_outcomes(p):

@@ -7,11 +7,12 @@ import pytest
 import fmchow.verify as verify_module
 from fmchow.errors import SizeCapError
 from fmchow.geomdata import ProjectiveGeometry
-from fmchow.polyalg import Presentation
-from fmchow.present import iterated_presentation
+from fmchow.polyalg import Presentation, VarTable, transport
+from fmchow.present import chow_presentation, iterated_presentation, simplified_presentation
 from fmchow.ranks import DegreeSpan
 from fmchow.setcomb import LargeFamily, Weights, all_walks
 from fmchow.verify import (
+    _ranks_and_outside,
     check_construction,
     check_counterexample,
     check_equivalence,
@@ -108,6 +109,28 @@ class TestEquivalence:
             "membership_semantics": "rational",
         }
 
+    def test_outside_relations_print_alike_under_any_table_order(self):
+        # the simplified ring of (1,3) without its Chern relations leaves ten
+        # full relations outside; they print in canonical variable order,
+        # sorted there, whatever the order of the ring's own table
+        geom = ProjectiveGeometry(1, 3)
+        full = chow_presentation(geom, LargeFamily.all_subsets(3))
+        simple = simplified_presentation(geom)
+        weak = [r for r in simple.relations if r.homogeneous_degree() == 2]
+        reports = []
+        reverse = VarTable(tuple(reversed(full.table.vars)))
+        for table in (full.table, full.canonical_var_order().table, reverse):
+            p = Presentation(table, [transport(r, table) for r in weak], full.top_degree)
+            reports.append(_ranks_and_outside(p, [transport(r, table) for r in full.relations], None))
+        ranks, outside = reports[0]
+        assert reports == [(ranks, outside)] * 3
+        assert ranks == [1, 7, 17, 24]
+        assert len(outside) == 10
+        assert outside[0] == "D{1,2,3} + D{1,2} - h2 - h1"
+        assert outside[-1] == (
+            "D{1,2,3}^2 - h3*D{1,2,3} - 2*h2*D{1,2,3} - h1*D{1,2,3} + h2*h3 + h1*h3 + h1*h2"
+        )
+
 
 class TestConstruction:
     def test_triple_only(self):
@@ -172,6 +195,9 @@ class TestConstruction:
         report = check_construction(2, 3, LargeFamily.all_subsets(3), walks="all")
         assert report.passed
         assert len(calls) == 2  # the direct presentation and one iterated class
+        # the class is ranked over its first walk's table, not the canonical one
+        family = LargeFamily.all_subsets(3)
+        assert calls[1] == iterated_presentation(ProjectiveGeometry(2, 3), family, all_walks(family)[0])
         ev = report.evidence
         assert ev["walks_checked"] == 6
         assert ev["iterated_presentations_ranked"] == 1
