@@ -31,27 +31,59 @@ are dead columns: each leads an element x*m - L(x)*m/a of the linear part
 of I, which is not x*m itself.  A ring with no relation of degree 1
 skips all of this.
 
+Then the pure-difference binomials c*(x*w - y*w) among the relations
+free of solved variables, for variables x > y and a monomial w, become
+rewrite rules x*w -> y*w (`fmchow._binomials`), taken one at a time
+while the rules stay confluent: every S-pair of two rules whose leading
+monomials share a variable, at or below the top degree, must reduce to
+zero under the rules and the killers (below).  A binomial that fails
+stays an ordinary relation.  Modulo the rules' ideal B each monomial m is
+congruent to exactly one normal form NF(m) that no rule rewrites, and
+NF(m) <= m in the lex order of the slices.  So the ring works in
+k[x]/(B), whose basis is B's standard monomials (Eisenbud and Sturmfels,
+"Binomial ideals", 1996; Cox, Little and O'Shea, ch. 2-3): each rule's
+leading monomial x*w is dead at its degree, as a solved variable is, and
+every product term, relation term and query term is read at its NF,
+memoised on the ring.  On a presentation of P^d with d >= 2 most
+relations are such binomials: the diagonal ones g*D_S for g = h_a -
+h_min(S), and g*E at each wall crossing of the iterated build.  A ring
+that takes no rule skips all of this.
+
 A degree slice builds no dead column.  The dead columns of degree k are
 the degree-k monomials of a monomial ideal J.  J is generated by the
 monomials known dead at their degree: each capped variable's vanishing
 power x_i^cap, the single-term relations ("killers"), the solved
-variables, and every monomial that a lower relation span found.  Apart
-from the multiples of the solved variables, which lead elements of the
-linear part of I as above, J lies inside the relation ideal I.  A pivot
-row of one entry m, built from relation rows alone, says that c*m is a
-combination of relation multiples modulo the dead columns of its degree,
-which lie in I by induction, so m and each of its multiples at every
-higher degree lie in I.  As J_k lies in I_k, the relation rank of degree k
-is dim J_k plus the rank of the relation rows modulo J_k, and a form lies
-in the span iff its terms on live columns do.  The live columns are J's
-standard monomials, enumerated degree by degree by one rule: a degree-d
+variables, the rules' leading monomials, and every monomial that a lower
+relation span found.  Apart from the multiples of the solved variables
+and of the leading monomials, which lead elements of the linear part of
+I and of B, J lies inside the relation ideal I.  A pivot row of one entry
+m, built from relation rows alone, says that c*m is a combination of
+relation multiples modulo B and the dead columns of its degree, which lie
+in I by induction, so m and each of its multiples at every higher degree
+lie in I.  As J_k lies in I_k + B_k, the relation rank of degree k is
+dim J_k plus the rank of the relation rows modulo J_k, and a form lies in
+the span iff the live terms of its NF do.
+
+J stays closed under the multiplication of k[x]/(B): for every monomial m
+of J inside I and every monomial q, NF(q*m) lies in J.  To that end each
+monomial g of J inside I that a layer kills while it is live -- a killer,
+a found monomial, or one this rule adds -- also kills NF(lcm(x*w, g)) at
+its degree, for each rule x*w -> y*w such that x's exponent in g exceeds
+its exponent in w.  That is the S-pair of the rule and g; with all of
+them reduced to zero, the rules and J's generators inside I are a
+Groebner basis of the ideal they generate, which holds q*m, so NF(q*m)
+reduces to zero by a generator alone: one divides it.  A monomial of J
+inside I that is no such g is a multiple of one.
+
+The live columns are J's standard monomials, enumerated degree by degree by one rule: a degree-d
 monomial is live iff each of its degree-(d-1) divisors is live and it is
 not among the monomials known dead at degree d.  So a divisor of a live
 monomial is live, and a multiple of a dead one is dead.  Every relation is
 multiplied only by live monomials: a product with a shift in J has every
-term in J, and its row is zero modulo J_k.  A `GradedRing` owns the slices
-of one presentation and is the one place that decides which monomials are
-dead.  It counts the full basis of each degree by a small DP over the
+term in J, and its row is zero modulo J_k, or is congruent modulo B to the
+product with the shift's NF, whose signature is smaller.  A `GradedRing`
+owns the slices of one presentation and is the one place that decides
+which monomials are dead.  It counts the full basis of each degree by a small DP over the
 variables, so the monomial cap refuses on that count -- all monomials,
 live or dead -- before anything is built; it sorts the relations,
 enumerates the live monomials of a degree once for all its slices, and
@@ -77,18 +109,20 @@ Volny and Wang's signature-based Groebner bases) skips the multiples of
 empty and zero rows alike.
 
 An empty row s*f_j has every term on a dead column, and so has every
-multiple q*s*f_j, as a multiple of a dead monomial is dead.  A row s*f_j of
-some degree e that reduces to zero is a syzygy.  Only rows of smaller
-signature went in before it, so its reduction to zero says
+multiple q*s*f_j, as J is closed under the ring's multiplication.  A row
+s*f_j of some degree e that reduces to zero is a syzygy.  Only rows of
+smaller signature went in before it, so its reduction to zero says
 
-    s*f_j = sum of c*s'*f_i over (i, s') < (j, s), modulo J_e.
+    s*f_j = sum of c*s'*f_i over (i, s') < (j, s), modulo B + J_e.
 
 Multiplied by q, the identity writes q*s*f_j through the rows q*s'*f_i,
-whose signatures (i, q*s') are still below (j, q*s), modulo q*J_e.  And
-q*J_e lies in J_k: the ring only deletes monomials from a layer, a layer is
-frozen once the next is enumerated, and each layer is the divisor-closed
-extension of the one below, less what is dead at its degree, so a multiple
-of a monomial ever dead at degree e is dead above it.
+modulo B + q*J_e.  Each of those is the row at NF(q*s'), whose signature
+(i, NF(q*s')) is still below (j, q*s), as NF(q*s') <= q*s' < q*s when
+i = j.  And q*J_e lies in B + J_k: the ring only deletes monomials from a
+layer, a layer is frozen once the next is enumerated, each layer is the
+divisor-closed extension of the one below, less what is dead at its
+degree, so a multiple of a monomial ever dead at degree e is dead above
+it, and J is closed under the ring's multiplication.
 
 By induction over the signatures, every multiple of degree k lies in the
 span of the built rows of signature up to its own, modulo J_k: a multiple
@@ -130,7 +164,11 @@ refuses a top degree of 2**w or more; below it every exponent of a degree-k
 monomial is at most k < 2**w, so the product of a relation term and a shift
 whose degrees add up to k is one integer addition that never carries from
 one field into the next.  A product term over a variable cap, or on a dead
-column, is absent from the index of live columns and is dropped there.
+column, is absent from the index of live columns; one the rules rewrite
+is looked up again at its NF, and any other is dropped.  A relation's
+terms are put in normal form and cut to those live at its own degree
+once, when its first span asks: a term dead there is dead in every
+multiple.
 
 A slice's columns run the other way: column 0 is its largest live
 monomial.  The echelon pivots a row on its first column, which is then the
@@ -157,6 +195,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
+from fmchow._binomials import BinomialRules, unit_move
 from fmchow._elim import Echelon
 from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
 from fmchow.polyalg import Poly, Presentation
@@ -361,18 +400,24 @@ class _LinearPart:
 class GradedRing:
     """The one owner of a presentation's degree slices and of what they share:
     the monomial counts, made at once for the cap check, then on first use the
-    monomials known dead at each degree, the other relations' packed terms
-    and each degree's live monomials.  It alone decides which monomials are
-    dead, by deleting them from its stored live layers: the killers when a
-    layer is enumerated, and what a relation span finds once its rows are
-    in.  It also keeps each relation's shift layers, from which the spans
-    drop the shifts whose rows were empty or reduced to zero (see the
-    module docstring).  Packed monomials are those of the presentation's
-    table."""
+    monomials known dead at each degree, the binomial rules and their normal
+    form, the other relations' packed terms and each degree's live
+    monomials.  It alone decides which monomials are dead, by deleting them
+    from its stored live layers: the rules' leading monomials and the
+    killers when a layer is enumerated, and what a relation span finds once
+    its rows are in.  Before it enumerates a layer it kills what the rules'
+    S-pairs with the monomials killed one degree down ask for, so that J
+    stays closed under the ring's multiplication.  It also keeps each
+    relation's shift layers, from which the spans drop the shifts whose rows
+    were empty or reduced to zero (see the module docstring).  Packed
+    monomials are those of the presentation's table."""
 
     #: None until `_split` looks for a linear part, then the ring's
     #: `_LinearPart`, or False when it has none
     _linear = None
+    #: None until `_split` looks for binomial rules, then the ring's
+    #: `BinomialRules`, or False when it keeps none
+    _rules = None
 
     def __init__(self, p: Presentation):
         self.presentation = p
@@ -411,7 +456,10 @@ class GradedRing:
         are instead those free of solved variables, the solved variables
         and the rewritten relations of one term: every other relation,
         and the cap x^cap of a solved x, is rewritten, and those of degree
-        1 rewrite to zero."""
+        1 rewrite to zero.  The pure-difference binomials c*(x*w - y*w)
+        free of solved variables, x > y, that keep the rules x*w -> y*w
+        confluent are taken as rules, which the ring keeps in `_rules`, and
+        the killers and every other relation are put in normal form."""
         p = self.presentation
         killers = {}
         for i, cap in enumerate(p.table.caps()):
@@ -425,20 +473,37 @@ class GradedRing:
             elif next(iter(r.packed)) % field == 1:
                 rows.append(r.packed)
         linear = _LinearPart(rows, killers, p.table) if rows else None
-        if linear is None or not linear.solved:
-            self._linear = False
-            return killers, self.packed_polys(r for r in p.relations if len(r.packed) > 1)
-        self._linear = linear
-        mask, caps = linear.mask, p.table.caps()
-        killers = {d: {m for m in ms if not m & mask} for d, ms in killers.items()}
-        killers.setdefault(1, set()).update(linear.solved)
-        polys = [r for r in p.relations if len(r.packed) > 1 or any(m & mask for m in r.packed)]
-        for x in linear.solved:
-            cap = caps[(x.bit_length() - 1) // self.width]
-            if cap is not None:
-                polys.append(Poly._of(p.table, linear.rewrite({cap * x: 1})))
+        self._linear = linear if linear and linear.solved else False
+        mask = 0
+        polys = [r for r in p.relations if len(r.packed) > 1]
+        if self._linear:
+            mask, caps = linear.mask, p.table.caps()
+            killers = {d: {m for m in ms if not m & mask} for d, ms in killers.items()}
+            killers.setdefault(1, set()).update(linear.solved)
+            polys = [r for r in p.relations if len(r.packed) > 1 or any(m & mask for m in r.packed)]
+            for x in linear.solved:
+                cap = caps[(x.bit_length() - 1) // self.width]
+                if cap is not None:
+                    polys.append(Poly._of(p.table, linear.rewrite({cap * x: 1})))
+        rules = None
+        others = []
+        for r in polys:
+            if len(r.packed) == 2:
+                (m, c), (n, b) = r.packed.items()
+                pair = c == -b and not (m | n) & mask and unit_move(max(m, n), min(m, n), self.width)
+                if pair and m % field <= p.top_degree:
+                    if rules is None:
+                        rules = BinomialRules(p.table, p.top_degree)
+                        dead = [g for ms in killers.values() for g in ms]
+                    if rules.accept(*pair, dead):
+                        continue
+            others.append(r)
+        self._rules = rules if rules and rules.leads else False
+        if self._rules:
+            self._fresh = {}  # degree -> the monomials killed there while live
+            killers = {d: set(map(rules.reduce, ms)) for d, ms in killers.items()}
         relations = []
-        for dg, terms in self.packed_polys(polys):
+        for dg, terms in self.packed_polys(others):  # in normal form
             if len(terms) == 1:
                 killers.setdefault(dg, set()).add(terms[0][0])
             else:
@@ -447,8 +512,9 @@ class GradedRing:
 
     @property
     def packed_relations(self) -> list:
-        """The relations other than killers, as `packed_polys` gives them,
-        rewritten when the ring has a linear part (see `_split`)."""
+        """The relations other than killers and rules, as `packed_polys`
+        gives them: rewritten when the ring has a linear part, and in normal
+        form when it has binomial rules (see `_split`)."""
         return self._split[1]
 
     @cached_property
@@ -456,12 +522,31 @@ class GradedRing:
         """One list per packed relation of its shift layers, by degree."""
         return [[] for _ in self.packed_relations]
 
+    @cached_property
+    def _live_terms(self) -> list:
+        """One entry per packed relation: None until `live_terms` makes it."""
+        return [None] * len(self.packed_relations)
+
+    def live_terms(self, j: int) -> list:
+        """Packed relation j's terms less those dead at its own degree,
+        made once, when its first span asks, on a ring with binomial rules.
+        A term dead there is dead in every multiple of the relation, as J
+        is closed under the ring's multiplication (see the module
+        docstring)."""
+        got = self._live_terms[j]
+        if got is None:
+            dg, terms = self.packed_relations[j]
+            layer = self.live(dg)
+            got = self._live_terms[j] = [(t, c) for t, c in terms if t in layer]
+        return got
+
     def live(self, d: int) -> dict:
         """The live degree-d monomials (see the module docstring), packed
         and ascending, each mapped to its degree-(d-1) divisors (None at
         the top degree); every degree below is enumerated first, once.  A
         layer is the divisor-closed extension of the one below, less what
-        `_split` knows dead at its degree."""
+        `_split` knows dead at its degree and what the rules' S-pairs with
+        the monomials killed one degree down kill there."""
         layers = self._live
         while len(layers) <= d:
             e = len(layers)
@@ -470,9 +555,18 @@ class GradedRing:
             else:
                 steps = [1 << (i * self.width) for i in range(len(self.presentation.table))]
             top = e == self.presentation.top_degree
+            killers = self._split[0]
+            rules = self._rules
+            if rules and e and (below := self._fresh.pop(e - 1)):
+                rules.close(below, killers)
             layer = _live_layer(e, layers[-1] if layers else None, steps, self.width, top)
-            for m in self._split[0].get(e, ()):
+            for m in rules.leads.get(e, ()) if rules else ():
                 layer.pop(m, None)
+            fresh = [m for m in killers.get(e, ()) if m in layer]  # killed while live
+            for m in fresh:
+                del layer[m]
+            if rules:
+                self._fresh[e] = fresh
             layers.append(layer)
         return layers[d]
 
@@ -512,25 +606,28 @@ class GradedRing:
         """Delete monomials a degree-k relation span found from the stored
         layer k, unless degree k+1 is enumerated already: the layers above
         then fail the divisor test at the found monomials' multiples, while
-        a layer built before would keep them."""
+        a layer built before would keep them.  A found monomial is closed
+        under the rules with the killed ones when the next layer is built."""
         if len(self._live) <= k + 1:
             layer = self._live[k]
             for m in monomials:
                 del layer[m]
+            if self._rules:
+                self._fresh[k].extend(monomials)
 
     def packed_terms(self, poly: Poly) -> list:
         """(packed monomial, coefficient) pairs of a polynomial, rewritten
-        by the ring's linear part if it has one, descending: the first term
-        is the leading monomial.
+        by the ring's linear part if it has one and in normal form under its
+        binomial rules, descending: the first term is the leading monomial.
         Raises StructureError for a polynomial over another table, whose
         packed fields would be read as the wrong variables."""
         if poly.table != self.presentation.table:
             raise StructureError("polynomial over a different variable table than the presentation")
-        linear = self._linear
-        if linear is None:  # the relations are not split yet
+        if self._linear is None:  # the relations are not split yet
             self._split
-            linear = self._linear
-        packed = linear.rewrite(poly.packed) if linear else poly.packed
+        packed = self._linear.rewrite(poly.packed) if self._linear else poly.packed
+        if self._rules:
+            packed = self._rules.rewrite(packed)
         return sorted(packed.items(), reverse=True)
 
     def packed_polys(self, polys) -> list:
@@ -566,6 +663,7 @@ class DegreeSpan:
         _check_degree(ring.presentation, k)
         self._count = ring.counts[k]
         alive = ring.live(k)
+        self._memo = ring._rules._memo if ring._rules else None  # see `_row`
         # descending: column 0 is the largest live monomial
         self._alive_index = {m: i for i, m in enumerate(reversed(alive))}
         self._dead = self._count - len(alive)
@@ -635,17 +733,39 @@ class DegreeSpan:
 
     def _row(self, terms, shift: int = 0):
         """Coefficient row of packed terms times a packed monomial shift
-        over the live columns, as parallel (cols, coeffs) lists.  The cols
-        ascend because the terms descend and the live index reverses the
-        packed order."""
+        over the live columns, as parallel (cols, coeffs) lists.  A product
+        term off the live index is looked up again at its NF, memoised on
+        the ring, and when one is found there the row's equal columns are
+        merged and sorted.  Otherwise the cols ascend as they are, because
+        the terms descend and the live index reverses the packed order."""
         index = self._alive_index
+        memo = self._memo
         cols = []
         coeffs = []
+        moved = False
         for t, c in terms:
             col = index.get(t + shift)
-            if col is not None:
-                cols.append(col)
-                coeffs.append(c)
+            if col is None:
+                if memo is None:
+                    continue
+                u = t + shift
+                v = memo.get(u)
+                if v is None:
+                    v = memo[u] = self.ring._rules.reduce(u)
+                if v == u:
+                    continue
+                col = index.get(v)
+                if col is None:
+                    continue
+                moved = True
+            cols.append(col)
+            coeffs.append(c)
+        if moved:
+            merged = {}
+            for col, c in zip(cols, coeffs):
+                merged[col] = merged.get(col, 0) + c
+            cols = sorted(col for col, c in merged.items() if c)
+            coeffs = [merged[col] for col in cols]
         return cols, coeffs
 
     def _insert_products(self, packed, relations: bool):
@@ -665,6 +785,8 @@ class DegreeSpan:
         for j, (dg, terms) in enumerate(packed):
             if dg > self.degree:
                 continue
+            if relations and ring._rules:
+                terms = ring.live_terms(j)
             e = self.degree - dg
             live = ring.live(e)
             shifts = ring.shift_layer(j, e) if relations else live
@@ -839,9 +961,10 @@ def kernel_ranks(
         if tgt_span.degree > source_top:
             return None
         src_span = next(sources)
-        # dead monomials lie in the source ideal (killed, or multiples of a
-        # monomial a lower source span found): zero in the source quotient,
-        # they contribute nothing
+        # a dead monomial lies in the source ideal (killed, or a multiple of
+        # a monomial a lower source span found), or is congruent modulo it to
+        # a combination of live ones (a solved variable's multiple, or a
+        # rule's leading monomial's): the live ones span the source quotient
         names = p_source.table.names()
         image = sum(
             tgt_span.insert(_map_monomial(m, names, var_images, p_target))

@@ -13,7 +13,16 @@ import fmchow.ranks
 from fmchow._elim import Echelon
 from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
 from fmchow.geomdata import ProjectiveGeometry
-from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable, _mono_key, divisor_name
+from fmchow.polyalg import (
+    ChernPoly,
+    Poly,
+    Presentation,
+    Var,
+    VarTable,
+    _mono_key,
+    divisor_name,
+    transport,
+)
 from fmchow.present import blowup_step, chow_presentation, iterated_presentation
 from fmchow.ranks import (
     DegreeSpan,
@@ -326,22 +335,23 @@ class TestGradedRanks:
 
     def test_spans_count_rows_and_skipped_multiples(self):
         # a fresh ring has dropped no shift, so nothing is skipped and
-        # every nonempty live multiple is a row: 3,086 in all.  The six
-        # degree-1 relations are solved, not rows
+        # every nonempty live multiple is a row: 1,682 in all.  The six
+        # degree-1 relations are solved, and the diagonal binomials are
+        # rewrite rules, not rows
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = [DegreeSpan(GradedRing(p), k) for k in range(p.top_degree + 1)]
         assert [s.quotient_rank() for s in spans] == [1, 9, 16, 9, 1]
-        assert [s.rows_inserted for s in spans] == [0, 0, 81, 646, 2359]
+        assert [s.rows_inserted for s in spans] == [0, 0, 64, 517, 1101]
         assert all(s.products_skipped == 0 for s in spans)
 
     def test_syzygies_climb_the_degrees_of_a_shared_ring(self):
         # the empty and zero relation rows a span drops from the shift
         # layers skip their multiples in the spans above it: on the fresh
-        # rings above, degrees 3 and 4 insert 646 and 2,359 rows
+        # rings above, degrees 3 and 4 insert 517 and 1,101 rows
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         counts = [(s.rows_inserted, s.products_skipped, s.syzygies_found) for s in spans]
-        assert counts == [(0, 0, 0), (0, 0, 0), (81, 0, 62), (148, 558, 74), (105, 2807, 2)]
+        assert counts == [(0, 0, 0), (0, 0, 0), (64, 0, 56), (73, 504, 48), (45, 1608, 7)]
 
     def test_a_relation_given_twice_has_empty_shift_layers(self):
         # the copy comes after the relation, so its own-degree row reduces
@@ -459,12 +469,38 @@ def solved_variables(p):
     return [variables[c] for c in dense_pivot_columns(rows, len(variables))]
 
 
+def binomial_rules(p):
+    """The pure-difference binomials c*(x*w - y*w) among the relations, for
+    variables x > y, that hold no solved variable, as pairs (x*w, y*w) of
+    exponent tuples: the rewrite rules x*w -> y*w of a ring whose rules
+    are confluent, as on every presentation these helpers are used on."""
+    solved = {m.index(1) for m in solved_variables(p)}
+    rules = []
+    for r in p.relations:
+        if len(r.terms) != 2:
+            continue
+        (a, c), (b, e) = r.sorted_terms()
+        moved = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        if (
+            c == -e
+            and len(moved) == 2
+            and all(abs(a[i] - b[i]) == 1 for i in moved)
+            and not any(a[i] or b[i] for i in solved)
+        ):
+            rules.append((a, b))
+    return rules
+
+
 def killers_of(p):
-    """The single-term relations and the solved variables.  A solved
-    variable x is dead at degree 1 although x is not in the relation ideal:
-    x - L(x) is, so x and its multiples lead elements of the ideal's linear
-    part, and the ring counts them as dead."""
-    return [next(iter(r.terms)) for r in p.relations if len(r.terms) == 1] + solved_variables(p)
+    """The single-term relations, the solved variables and the leading
+    monomials x*w of the binomial rules.  A solved variable x is dead at
+    degree 1 although x is not in the relation ideal: x - L(x) is, so x and
+    its multiples lead elements of the ideal's linear part, and the ring
+    counts them as dead.  So are the leading monomials, whose multiples
+    the rules rewrite.  `standard_monomials` adds their closure: the
+    monomials that a rule makes equal to a multiple of a killer."""
+    killers = [next(iter(r.terms)) for r in p.relations if len(r.terms) == 1]
+    return killers + solved_variables(p) + [lead for lead, _ in binomial_rules(p)]
 
 
 def brute_basis(p, k):
@@ -482,13 +518,46 @@ def brute_basis(p, k):
     return sorted(tails(0, k), key=_mono_key)
 
 
-def standard_monomials(p, k, generators):
-    """Degree-k basis monomials that no generator (exponent tuple) divides."""
-    return [
-        m
-        for m in brute_basis(p, k)
-        if not any(all(a <= b for a, b in zip(g, m)) for g in generators)
-    ]
+def all_monomials(nvars, k):
+    """Every exponent tuple of degree k in nvars variables, caps ignored."""
+    if nvars == 1:
+        return [(k,)]
+    return [(e,) + t for e in range(k + 1) for t in all_monomials(nvars - 1, k - e)]
+
+
+def standard_monomials(p, k, generators, rules=()):
+    """Degree-k basis monomials that no generator (exponent tuple) divides,
+    nor, with `rules` (pairs (x*w, y*w) of exponent tuples), any monomial
+    the moves x*w*r <-> y*w*r join them to, caps ignored: the closure of
+    the generators, found by plain union-find over every degree-k
+    monomial.  A capped variable's vanishing power is a generator too, and
+    the rules' leading monomials among the generators kill no class."""
+    caps = [tuple(c if j == i else 0 for j in range(len(p.table))) for i, c in enumerate(p.table.caps()) if c]
+
+    def divides(g, m):
+        return all(a <= b for a, b in zip(g, m))
+
+    generators = list(generators) + caps
+    dead = set()
+    if rules:
+        monomials = all_monomials(len(p.table), k)
+        parent = {m: m for m in monomials}
+
+        def root(m):
+            while parent[m] != m:
+                m = parent[m]
+            return m
+
+        for m in monomials:
+            for lead, tail in rules:
+                if divides(lead, m):
+                    parent[root(m)] = root(tuple(a - b + c for a, b, c in zip(m, lead, tail)))
+        # a leading monomial is dead for its rule, not zero: it kills no class
+        leads = {lead for lead, _ in rules}
+        killing = [g for g in generators if g not in leads]
+        killed = {root(m) for m in monomials if any(divides(g, m) for g in killing)}
+        dead = {m for m in monomials if root(m) in killed}
+    return [m for m in brute_basis(p, k) if m not in dead and not any(divides(g, m) for g in generators)]
 
 
 class TestLiveColumns:
@@ -737,10 +806,12 @@ class TestFoundMonomials:
         p = chow_presentation(ProjectiveGeometry(dim, len(weights)), family)
         ring = GradedRing(p)
         generators = killers_of(p)
+        rules = binomial_rules(p)
+        assert len(rules) == sum(map(len, ring._split and ring._rules.leads.values()))
         found = []
         for span in ring.spans(range(p.top_degree + 1)):
             k = span.degree
-            assert list(span.alive_monomials) == standard_monomials(p, k, generators)
+            assert list(span.alive_monomials) == standard_monomials(p, k, generators, rules)
             # what the span found is what the ring deleted from its layer
             monomials = sorted(set(span.alive_monomials) - set(map(p.table.unpack, ring.live(k))))
             assert len(monomials) == span.monomials_found
@@ -754,19 +825,20 @@ class TestFoundMonomials:
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         assert [(s.quotient_rank(), s.monomials_found) for s in spans] == [
-            (1, 0), (9, 0), (16, 0), (9, 11), (1, 26)
+            (1, 0), (9, 0), (16, 0), (9, 0), (1, 4)
         ]
 
     def test_a_late_span_records_nothing_for_an_enumerated_degree(self):
-        # degree 4's layer was enumerated before degree 3's span was built,
+        # degree 8's layer was enumerated before degree 7's span was built,
         # so what that span finds is not taken in: the layers stay consistent
-        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
+        family = LargeFamily.from_weights(Weights.from_strings(("1/2",) * 4))
+        p = chow_presentation(ProjectiveGeometry(2, 4), family)
         ring = GradedRing(p)
-        top = DegreeSpan(ring, 4)
-        late = DegreeSpan(ring, 3)
-        assert late.monomials_found == 11
-        assert late.alive_monomials == tuple(map(p.table.unpack, ring.live(3)))
-        assert top.quotient_rank() == DegreeSpan(ring, 4).quotient_rank() == 1
+        top = DegreeSpan(ring, 8)
+        late = DegreeSpan(ring, 7)
+        assert late.monomials_found == 8
+        assert late.alive_monomials == tuple(map(p.table.unpack, ring.live(7)))
+        assert top.quotient_rank() == DegreeSpan(ring, 8).quotient_rank() == 1
 
 
 @st.composite
@@ -807,6 +879,47 @@ def dense_quotient_ranks(p):
     return ranks
 
 
+def check_queries_against_dense(p, data):
+    """`memberships` of drawn forms, some in the ideal, and `ideal_ranks` of
+    drawn generators, against every multiple over the full basis ranked by
+    plain Gaussian elimination over Fractions."""
+    table, top = p.table, p.top_degree
+    count = data.draw(st.integers(0, 2))
+    gens = [draw_form(data, table, data.draw(st.integers(1, top))) for _ in range(count)]
+    queries = []
+    expected = []
+    ideal = []
+    for k in range(top + 1):
+        basis = brute_basis(p, k)
+        col = {m: i for i, m in enumerate(basis)}
+        rows = dense_multiples(p, p.relations, k, col)
+        both = rows + dense_multiples(p, gens, k, col)
+        rank = dense_rank(both, len(basis))
+        ideal.append(rank - dense_rank(rows, len(basis)))
+        factors = [
+            g for g in gens + list(p.relations) if not g.is_zero() and g.homogeneous_degree() <= k
+        ]
+        forms = [draw_form(data, table, k)]
+        if factors:
+            g = data.draw(st.sampled_from(factors))
+            forms.append(g * draw_form(data, table, k - g.homogeneous_degree()))
+        for f in forms:
+            queries.append(f)
+            row = {col[m]: c for m, c in f.terms.items()}
+            expected.append(dense_rank(both + [row], len(basis)) == rank)
+    assert memberships(p, gens, queries) == expected
+    assert ideal_ranks(p, gens) == ideal
+
+
+def check_kernel_against_dense(p, data):
+    """`kernel_ranks` of the identity onto the ring with extra dense
+    relations: the kernel is the drop in quotient rank."""
+    target, _, _ = dense_forms(data, p, st.integers(1, 2))
+    images = {name: Poly.variable(p.table, name) for name in p.table.names()}
+    drop = [a - b for a, b in zip(dense_quotient_ranks(p), dense_quotient_ranks(target))]
+    assert kernel_ranks(p, target, images) == drop
+
+
 class TestLinearPart:
     """A ring solves its degree-1 relations for their leading variables and
     rewrites every other relation, generator and query without them; the
@@ -826,42 +939,14 @@ class TestLinearPart:
     @settings(deadline=None, max_examples=100)
     @given(linear_presentations(), st.data())
     def test_memberships_and_ideal_ranks_match_dense_reference(self, p, data):
-        table, top = p.table, p.top_degree
-        count = data.draw(st.integers(0, 2))
-        gens = [draw_form(data, table, data.draw(st.integers(1, top))) for _ in range(count)]
-        queries = []
-        expected = []
-        ideal = []
-        for k in range(top + 1):
-            basis = brute_basis(p, k)
-            col = {m: i for i, m in enumerate(basis)}
-            rows = dense_multiples(p, p.relations, k, col)
-            both = rows + dense_multiples(p, gens, k, col)
-            rank = dense_rank(both, len(basis))
-            ideal.append(rank - dense_rank(rows, len(basis)))
-            factors = [
-                g for g in gens + list(p.relations) if not g.is_zero() and g.homogeneous_degree() <= k
-            ]
-            forms = [draw_form(data, table, k)]
-            if factors:
-                g = data.draw(st.sampled_from(factors))
-                forms.append(g * draw_form(data, table, k - g.homogeneous_degree()))
-            for f in forms:
-                queries.append(f)
-                row = {col[m]: c for m, c in f.terms.items()}
-                expected.append(dense_rank(both + [row], len(basis)) == rank)
-        assert memberships(p, gens, queries) == expected
-        assert ideal_ranks(p, gens) == ideal
+        check_queries_against_dense(p, data)
 
     @settings(deadline=None, max_examples=60)
     @given(linear_presentations(), st.data())
     def test_kernel_ranks_match_dense_reference(self, p, data):
         # the identity onto the ring with extra relations, a degree-1 one
         # among them at times: the kernel is the drop in quotient rank
-        target, _, _ = dense_forms(data, p, st.integers(1, 2))
-        images = {name: Poly.variable(p.table, name) for name in p.table.names()}
-        drop = [a - b for a, b in zip(dense_quotient_ranks(p), dense_quotient_ranks(target))]
-        assert kernel_ranks(p, target, images) == drop
+        check_kernel_against_dense(p, data)
 
     def test_a_fresh_ring_rewrites_a_query(self):
         # packing a form solves the linear part first, before any span
@@ -882,6 +967,127 @@ class TestLinearPart:
         assert sorted(p.table.names()[i] for i in solved) == pairs
         spans = GradedRing(p).spans(range(p.top_degree + 1))
         assert not any(m[i] for span in spans for m in span.alive_monomials for i in solved)
+
+
+@st.composite
+def binomial_presentations(draw):
+    """Presentations in 2-4 variables of top degree 2-4 whose relations are
+    one to three pure-difference binomials c*(x - y)*w, w any monomial below
+    the top degree (x or y inside it as well), now and then a second one
+    with the same x*w, up to two killers, and at times a relation of
+    degree 1, which the ring solves first.  No cap is 1."""
+    top = draw(st.sampled_from((2, 3, 4)))
+    nvars = draw(st.integers(2, 4))
+    caps = draw(st.lists(st.none() | st.integers(2, top + 1), min_size=nvars, max_size=nvars))
+    table = VarTable(tuple(Var(f"x{i}", 1, cap) for i, cap in enumerate(caps)))
+
+    def shifted(w, i):
+        return Poly.monomial(table, tuple(e + (j == i) for j, e in enumerate(w)))
+
+    relations = [
+        Poly.monomial(table, draw_monomial(draw, nvars, draw(st.integers(2, top))))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    variable = st.integers(0, nvars - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw_monomial(draw, nvars, draw(st.integers(1, top - 1)))
+        x, y = draw(st.lists(variable, min_size=2, max_size=2, unique=True))
+        relations.append(draw(st.sampled_from((-2, -1, 1, 3))) * (shifted(w, x) - shifted(w, y)))
+        if draw(st.booleans()):
+            z = draw(variable.filter(lambda z: z != x))
+            relations.append(shifted(w, x) - shifted(w, z))
+    if draw(st.booleans()):
+        support = draw(st.lists(variable, min_size=2, max_size=3, unique=True))
+        units = {tuple(int(j == v) for j in range(nvars)): draw(st.sampled_from((-2, -1, 1))) for v in support}
+        relations.append(Poly(table, units))
+    return Presentation(table, relations, top)
+
+
+class TestBinomialRules:
+    """A ring takes its pure-difference binomials as rewrite rules while
+    they stay confluent, kills their leading monomials and puts everything
+    else in normal form; the dense references know nothing of it."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(binomial_presentations(), st.data())
+    def test_whole_ring_matches_dense_reference(self, p, data):
+        p, extra, gens = dense_forms(data, p, st.integers(0, 2))
+        for span in GradedRing(p).spans(range(p.top_degree + 1)):
+            check_span_against_dense(span, p, extra, gens, data)
+
+    @settings(deadline=None, max_examples=100)
+    @given(binomial_presentations(), st.data())
+    def test_memberships_and_ideal_ranks_match_dense_reference(self, p, data):
+        check_queries_against_dense(p, data)
+
+    @settings(deadline=None, max_examples=60)
+    @given(binomial_presentations(), st.data())
+    def test_kernel_ranks_match_dense_reference(self, p, data):
+        check_kernel_against_dense(p, data)
+
+    @settings(deadline=None, max_examples=100)
+    @given(binomial_presentations())
+    def test_graded_ranks_match_dense_reference(self, p):
+        assert graded_ranks(p) == dense_quotient_ranks(p)
+
+    def test_a_shared_leading_monomial_leaves_the_second_binomial_a_relation(self):
+        # with h1 above h2 and h3, both diagonal binomials (h_a - h1)*D{1,2,3}
+        # lead with h1*D{1,2,3}: their S-pair h3*D{1,2,3} - h2*D{1,2,3} is
+        # in normal form, so only the first is a rule, and the second stays
+        # a relation.  So does (h2 - h1)*D{1,2}: its S-pair with the first
+        # rule is h2*D{1,2}*D{1,2,3} - h3*D{1,2}*D{1,2,3}
+        geom, family = ProjectiveGeometry(2, 3), LargeFamily.all_subsets(3)
+        p = chow_presentation(geom, family)
+        table = VarTable(p.table.vars[2::-1] + p.table.vars[3:])
+        permuted = Presentation(table, [transport(r, table) for r in p.relations], p.top_degree)
+        ring = GradedRing(permuted)
+        ring.packed_relations  # split the ring
+
+        def packed(*names):
+            return table.pack(tuple(int(n in names) for n in table.names()))
+
+        rules = {(lead, lead - x + y) for lead, x, y in ring._rules.rules}
+        assert rules == {
+            (packed("h1", "D{1,2,3}"), packed("h3", "D{1,2,3}")),
+            (packed("h2", "D{2,3}"), packed("h3", "D{2,3}")),
+            (packed("h1", "D{1,3}"), packed("h3", "D{1,3}")),
+        }
+        d123, d12 = Poly.variable(table, "D{1,2,3}"), Poly.variable(table, "D{1,2}")
+        h1, h2 = Poly.variable(table, "h1"), Poly.variable(table, "h2")
+        for second in ((h1 - h2) * d123, (h1 - h2) * d12):
+            assert (2, ring.packed_terms(second)) in ring.packed_relations
+        assert graded_ranks(permuted) == rank_oracle(2, 3, family)
+
+    def test_a_killer_is_closed_through_a_rule_of_two_variables(self):
+        # x^2 = 0 and x*a*b = y*a*b: the S-pair of the two leads
+        # lcm(x^2, x*a*b) = x^2*a*b to y^2*a*b, which lies in the ideal but
+        # is no multiple of x^2, and its divisors y^2*a, y^2*b and y*a*b
+        # are live
+        table = VarTable(tuple(Var(name) for name in ("y", "x", "a", "b")))
+        y, x, a, b = (Poly.variable(table, name) for name in ("y", "x", "a", "b"))
+        p = Presentation(table, [x * x, (x - y) * a * b], 4)
+        ring = GradedRing(p)
+        assert graded_ranks(p) == dense_quotient_ranks(p)
+        divisors = (y * y * a, y * y * b, y * a * b)
+        assert all(max(f.packed) in ring.live(3) for f in divisors)
+        assert max((y * y * a * b).packed) not in ring.live(4)
+
+    def test_a_found_monomial_kills_its_collapse_multiple(self):
+        # h1*h3 = 0 makes h2^2 + h1*h3 a row of one live entry: degree 2
+        # finds h2^2.  Its multiple h2^2*D collapses by the rule
+        # h2*D -> h1*D to h1^2*D, no multiple of h2^2, whose divisors h1^2
+        # and h1*D are live: the ring kills it before degree 3 is built, so
+        # no row there has to find it again
+        table = VarTable((Var("h1", 1, 3), Var("h2", 1, 3), Var("h3", 1, 3), Var("D")))
+        h1, h2, h3, d = (Poly.variable(table, name) for name in ("h1", "h2", "h3", "D"))
+        p = Presentation(table, [(h2 - h1) * d, h1 * h3, h2 * h2 + h1 * h3], 4)
+        ring = GradedRing(p)
+        spans = list(ring.spans(range(p.top_degree + 1)))
+        assert [s.monomials_found for s in spans] == [0, 0, 1, 0, 0]
+        assert table.unpack(max((h2 * h2).packed)) in spans[2].alive_monomials
+        assert all(max(f.packed) in ring.live(2) for f in (h1 * h1, h1 * d))
+        assert table.unpack(max((h1 * h1 * d).packed)) not in spans[3].alive_monomials
+        assert [s.quotient_rank() for s in spans] == dense_quotient_ranks(p)
 
 
 def lead_pair_outcomes(p):
