@@ -13,10 +13,10 @@ modulo the rules, a monomial is congruent to exactly one monomial that no
 rule rewrites, its normal form NF.
 
 Monomials are the packed integers of `fmchow.polyalg`, whose fields never
-carry.  So with every guard bit set in u, u - d keeps all of the guard
-bits where d divides u, and otherwise keeps exactly those of the fields
-where u's exponent is at least d's: one subtraction tests a divisor, and
-gives the field-wise maximum that an lcm takes.
+carry.  So with every guard bit set in u, u - d keeps the guard bits of
+exactly the fields where u's exponent is at least d's: one subtraction
+tests a divisor (`VarTable.divides`), and gives the field-wise maximum
+that an lcm takes.
 """
 
 
@@ -45,23 +45,25 @@ class BinomialRules:
 
     def __init__(self, table, top: int):
         w = table.width
+        self._table = table
         self._field, self._top, self._top_bit = (1 << w) - 1, top, w - 1
-        self._guard, self._bias = table._guard, table._bias
-        self._capped = table._guard & ~table._overflow  # guard bits of the capped fields
+        self._guard = table._guard
         self._units = self._guard >> (w - 1)  # one unit at the start of each field
         self._groups = {}  # x -> its rules
         self._order = []  # (x, shift, rules) of each group, x descending
         self._movers = 0  # the fields of the groups' x
-        self._rests = 0  # the fields that the rules' rests hold
-        self._needs = 0  # the fields a monomial must meet to be rewritten: the rests', or all
-        self._targets = 0  # the rules' y
-        self._again = False  # whether some rest holds a y (see `reduce`)
+        # the fields of the rules' rests, and the x of a rule of no rest: a
+        # rule applies to a monomial only if it holds one of them (and at
+        # times they hold a rejected rule's too)
+        self._rests = 0
         self._held = []  # the fields each rule's leading monomial holds
         #: (leading monomial x*w, x, y) of each rule, in the order taken
         self.rules = []
         #: degree -> the rules' leading monomials
         self.leads = {}
-        self._memo = {}  # monomial -> NF, once the rules are final
+        #: monomial -> NF of each monomial `normal` has met, once the rules
+        #: are final; a caller in a hot loop reads it before calling `normal`
+        self.normal_forms = {}
 
     def _at_least(self, a: int, b: int) -> int:
         """The full fields where a's exponent is at least b's."""
@@ -71,19 +73,15 @@ class BinomialRules:
         wider = self._at_least(a, b)
         return (a & wider) | (b & ~wider)
 
-    def over_cap(self, u: int) -> bool:
-        """Whether a variable cap divides u."""
-        return bool((u + self._bias) & self._capped)
-
     def reduce(self, u: int) -> int:
-        """u rewritten by the rules until none applies, the groups taken
-        from the largest x down.  A move raises only y, which is smaller
-        than x, so one pass is enough unless some rule's rest holds a
-        variable that a rule moves onto: then the pass repeats while any
-        rule moved."""
-        if not (u & self._movers and u & self._needs):
+        """u rewritten by the rules until none applies: a pass over the
+        groups from the largest x down.  A move raises only y, which is
+        smaller than x, so it can make a rule of a group already passed
+        apply only when some rule's rest holds y; then the pass repeats.
+        A move lowers u in the lex order, so the passes end."""
+        if not (u & self._movers and u & self._rests):
             return u
-        field, guard = self._field, self._guard
+        field, guard, rests = self._field, self._guard, self._rests
         moved = True
         while moved:
             moved = False
@@ -95,14 +93,15 @@ class BinomialRules:
                     if e > ew and ((u | guard) - rest) & guard == guard:
                         u += (e - ew) * (y - x)
                         e = ew
-                        moved = self._again
+                        if y & rests:
+                            moved = True
         return u
 
     def normal(self, u: int) -> int:
         """NF(u), memoised for the life of the rules."""
-        got = self._memo.get(u)
+        got = self.normal_forms.get(u)
         if got is None:
-            got = self._memo[u] = self.reduce(u)
+            got = self.normal_forms[u] = self.reduce(u)
         return got
 
     def accept(self, x: int, y: int, w: int, killers: list) -> bool:
@@ -120,11 +119,8 @@ class BinomialRules:
             group = self._groups[x] = []
             self._order = sorted(self._order + [(x, shift, group)], reverse=True)
         group.append((ew, rest, y))
-        saved = self._movers, self._needs, self._again
-        rests = self._rests | self._at_least(rest, self._units)
         self._movers |= field << shift
-        self._needs = rests if rest and not self._needs & ~rests else -1
-        self._again = bool((self._targets | y) & rests)
+        self._rests |= self._at_least(rest, self._units) if rest else field << shift
         held = self._at_least(lead, self._units)
         for (other, ox, oy), other_held in zip(self.rules, self._held):
             if not held & other_held:
@@ -139,9 +135,8 @@ class BinomialRules:
                 if not group:
                     del self._groups[x]
                     self._order = [entry for entry in self._order if entry[2]]
-                self._movers, self._needs, self._again = saved
+                    self._movers &= ~(field << shift)
                 return False
-        self._rests, self._targets = rests, self._targets | y
         self.rules.append((lead, x, y))
         self._held.append(held)
         self.leads.setdefault(lead % field, set()).add(lead)
@@ -152,21 +147,20 @@ class BinomialRules:
         replaced by its NF and equal ones merged; a term whose NF a cap
         divides is dropped."""
         out = {}
-        movers, memo, bias, capped = self._movers, self._memo, self._bias, self._capped
+        movers, rests, bias, guard = self._movers, self._rests, self._table._bias, self._guard
+        known, normal, over_cap = self.normal_forms, self.normal, self._table.over_cap
         for m, c in packed.items():
-            if m & movers:
-                u = memo.get(m)
-                if u is None:
-                    u = memo[m] = self.reduce(m)
-                if (u + bias) & capped:
+            if m & movers and m & rests:
+                u = known.get(m) or normal(m)
+                if u != m and (u + bias) & guard and over_cap(u):
                     continue
                 m = u
             out[m] = out.get(m, 0) + c
         return {u: c for u, c in out.items() if c}
 
     def _killed(self, u: int, killers: list) -> bool:
-        guard = self._guard
-        return self.over_cap(u) or any(((u | guard) - g) & guard == guard for g in killers)
+        table = self._table
+        return table.over_cap(u) or any(table.divides(g, u) for g in killers)
 
     def close(self, generators, killers: dict):
         """Kill what the S-pairs of the rules with the monomials of the
@@ -186,5 +180,5 @@ class BinomialRules:
                         degree = lcm % field
                         if degree <= top:
                             u = self.normal(lcm)
-                            if not self.over_cap(u):
+                            if not self._table.over_cap(u):
                                 killers.setdefault(degree, set()).add(u)

@@ -175,6 +175,21 @@ class VarTable:
         mask = (1 << FIELD_BITS) - 1
         return tuple((packed >> shift) & mask for shift in self._shifts)
 
+    def over_cap(self, packed: int) -> bool:
+        """Whether a variable cap divides a packed monomial, by the
+        add-and-mask of `Poly` multiplication.  Raises StructureError on an
+        uncapped exponent over `max_exponent`."""
+        over = (packed + self._bias) & self._guard
+        if over & self._overflow:
+            raise StructureError(self._too_large())
+        return bool(over)
+
+    def divides(self, d: int, packed: int) -> bool:
+        """Whether the packed monomial d divides the packed monomial
+        `packed`: the fields never carry, so with every guard bit set,
+        packed - d keeps them all iff no exponent of d is larger."""
+        return ((packed | self._guard) - d) & self._guard == self._guard
+
     def _too_large(self) -> str:
         return f"an uncapped exponent is over the packed field's bound {self.max_exponent}"
 

@@ -317,28 +317,19 @@ class _LinearPart:
         self._killers_of = killers_of
         self._expansions = {}  # see `_expansion`
 
-    def _over_cap(self, u: int) -> bool:
-        """Whether a variable cap divides the packed monomial u, by the
-        add-and-mask of `Poly` multiplication, which also refuses an
-        uncapped exponent over the field's bound."""
-        table = self._table
-        over = (u + table._bias) & table._guard
-        if over & table._overflow:
-            raise StructureError(table._too_large())
-        return bool(over)
-
     def _expansion(self, s: int) -> list:
         """The packed terms of the product of the rests of the solved
         variables in the monomial s, each to its exponent in s, made once:
         one degree-1 factor y at a time, dropping a product term u = t*y as
         soon as it is known dead where t is not, as its multiples are dead
         too.  That is when a cap divides u, or a killer, which then holds
-        y.  The packed fields never carry, so a killer g divides u iff
-        u - g, taken with every guard bit set, keeps them all."""
+        y."""
         got = self._expansions.get(s)
         if got is None:
             w, field, killers_of = self._width, self._field, self._killers_of
-            bias, guard = self._table._bias, self._table._guard
+            table = self._table
+            bias, guard = table._bias, table._guard
+            over_cap, divides = table.over_cap, table.divides
             partial = {0: 1}
             hit = s
             while hit:
@@ -352,9 +343,9 @@ class _LinearPart:
                         for y, b, fields, others in factor:
                             u = t + y
                             if (
-                                (u + bias) & guard and self._over_cap(u)
+                                (u + bias) & guard and over_cap(u)
                                 or t & fields
-                                or others and any(((u | guard) - g) & guard == guard for g in others)
+                                or others and any(divides(g, u) for g in others)
                             ):
                                 continue
                             product[u] = product.get(u, 0) + c * b
@@ -391,7 +382,7 @@ class _LinearPart:
             rest = m - hit
             for u, b in self._expansion(hit):
                 u += rest
-                if rest and (u + bias) & guard and self._over_cap(u):
+                if rest and (u + bias) & guard and self._table.over_cap(u):
                     continue
                 out[u] = out.get(u, 0) + c * b
         return {u: c for u, c in out.items() if c}
@@ -529,10 +520,9 @@ class GradedRing:
 
     def live_terms(self, j: int) -> list:
         """Packed relation j's terms less those dead at its own degree,
-        made once, when its first span asks, on a ring with binomial rules.
-        A term dead there is dead in every multiple of the relation, as J
-        is closed under the ring's multiplication (see the module
-        docstring)."""
+        made once, when its first span asks.  A term dead there is dead in
+        every multiple of the relation, as J is closed under the ring's
+        multiplication (see the module docstring)."""
         got = self._live_terms[j]
         if got is None:
             dg, terms = self.packed_relations[j]
@@ -663,7 +653,6 @@ class DegreeSpan:
         _check_degree(ring.presentation, k)
         self._count = ring.counts[k]
         alive = ring.live(k)
-        self._memo = ring._rules._memo if ring._rules else None  # see `_row`
         # descending: column 0 is the largest live monomial
         self._alive_index = {m: i for i, m in enumerate(reversed(alive))}
         self._dead = self._count - len(alive)
@@ -739,19 +728,18 @@ class DegreeSpan:
         merged and sorted.  Otherwise the cols ascend as they are, because
         the terms descend and the live index reverses the packed order."""
         index = self._alive_index
-        memo = self._memo
+        rules = self.ring._rules
+        known, normal = (rules.normal_forms, rules.normal) if rules else (None, None)
         cols = []
         coeffs = []
         moved = False
         for t, c in terms:
             col = index.get(t + shift)
             if col is None:
-                if memo is None:
+                if known is None:
                     continue
                 u = t + shift
-                v = memo.get(u)
-                if v is None:
-                    v = memo[u] = self.ring._rules.reduce(u)
+                v = known.get(u) or normal(u)
                 if v == u:
                     continue
                 col = index.get(v)
@@ -785,7 +773,7 @@ class DegreeSpan:
         for j, (dg, terms) in enumerate(packed):
             if dg > self.degree:
                 continue
-            if relations and ring._rules:
+            if relations:
                 terms = ring.live_terms(j)
             e = self.degree - dg
             live = ring.live(e)

@@ -1089,6 +1089,31 @@ class TestBinomialRules:
         assert table.unpack(max((h1 * h1 * d).packed)) not in spans[3].alive_monomials
         assert [s.quotient_rank() for s in spans] == dense_quotient_ranks(p)
 
+    def test_a_move_onto_a_rest_repeats_the_pass(self):
+        # c*a -> b*a moves onto b, which the rest of d*b -> a*b holds: on
+        # d*c*a the group of d applies only after the group of c moved, so
+        # the normal form is a^2*b, two passes down
+        table = VarTable(tuple(Var(name) for name in "abcd"))
+        a, b, c, d = (Poly.variable(table, name) for name in "abcd")
+        p = Presentation(table, [(c - b) * a, (d - a) * b], 3)
+        ring = GradedRing(p)
+        assert ring.packed_relations == [] and len(ring._rules.rules) == 2
+        assert ring.packed_terms(d * c * a) == ring.packed_terms(a * a * b)
+        assert membership(p, [], d * c * a - a * a * b)
+        assert graded_ranks(p) == dense_quotient_ranks(p)
+
+    def test_a_rule_of_no_rest_rewrites_the_powers_of_its_variable(self):
+        # (x - y)*x is the rule x^2 -> x*y, whose w = x leaves no rest:
+        # x^3 rewrites to x*y^2 although it holds no other variable
+        table = VarTable(tuple(Var(name) for name in "yx"))
+        y, x = (Poly.variable(table, name) for name in "yx")
+        p = Presentation(table, [(x - y) * x], 4)
+        ring = GradedRing(p)
+        assert ring.packed_relations == [] and len(ring._rules.rules) == 1
+        assert ring.packed_terms(x * x * x) == ring.packed_terms(x * y * y)
+        assert memberships(p, [], [x * x - x * y, x * x * x - x * y * y]) == [True, True]
+        assert graded_ranks(p) == dense_quotient_ranks(p)
+
 
 def lead_pair_outcomes(p):
     """Walk a ring's spans from degree 0 up, then sort each pair i < j of
