@@ -560,11 +560,17 @@ def chern_eval(p: ChernPoly, s: Poly) -> Poly:
     p.coeffs[0]._check_table(s)
     if not s.is_zero() and s.homogeneous_degree() != 1:
         raise DegreeError("evaluation argument must be homogeneous of degree 1")
+    return chern_eval_powers(p, [Poly.constant(p.table, 1), s])
+
+
+def chern_eval_powers(p: ChernPoly, powers: list) -> Poly:
+    """`chern_eval` at the class powers[1], given as the list of its powers
+    from the 0th.  The list is extended in place as far as p's degree
+    needs and never further, so evaluations at one class share it."""
+    while len(powers) <= p.degree:
+        powers.append(powers[-1] * powers[1])
     out = Poly.zero(p.table)
-    power = Poly.constant(p.table, 1)
-    for ell, c in enumerate(p.coeffs):
-        if ell:
-            power = power * s  # s^ell, and never s^(degree+1)
+    for c, power in zip(p.coeffs, powers):
         if not c.is_zero():
             out = out + c * power
     return out
@@ -601,7 +607,9 @@ class Presentation:
     Point-variable caps act as implicit relations (they are enforced in
     normalization), so e.g. Z[h,E]/<h^4, h^2*E, E^2-2hE+h^2> is encoded
     with h capped at power 4 and the two explicit relations.  Relations
-    are stored sign-normalized, deduplicated and canonically sorted.
+    are stored sign-normalized, deduplicated and canonically sorted: each
+    relation's terms are sorted once, and the leading coefficient of that
+    key gives the sign.
     """
 
     __slots__ = ("table", "relations", "top_degree")
@@ -616,8 +624,11 @@ class Presentation:
             if rel.is_zero():
                 continue
             degree = rel.homogeneous_degree()  # raises DegreeError if inhomogeneous
-            rel = rel.sign_normalized()
-            seen[degree, rel.canonical_key()] = rel
+            terms = sorted(rel.packed.items(), reverse=True)
+            if terms[0][1] < 0:
+                rel = Poly._of(table, {m: -c for m, c in terms})
+                terms = rel.packed.items()  # in the sorted order
+            seen[degree, tuple(terms)] = rel
         ordered = [seen[key] for key in sorted(seen)]
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "relations", tuple(ordered))

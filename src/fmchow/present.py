@@ -11,15 +11,21 @@ relations J*E and P(-E).  `coincidence_data` produces exactly that input
 for the locus where a small cluster T has merged, and
 `iterated_presentation` builds the whole construction, one wall crossing
 after another, in one pass over its final variable table.  Its relations
-are those of folding `blowup_step` over the walk, but each step's are
-computed once, not carried and re-sorted through every later step.  It
-has the same variables as `chow_presentation` but generally fewer
-relations, so rank agreement between the two is a genuine cross-check
-and not a tautology.
+are those of folding `blowup_step` over the walk, but each crossing
+evaluates the Chern polynomial P_T of T directly at E + u, u the sum of
+D_V over the large V strictly containing T: that is P(-E) for the
+shifted P(x) = P_T(-x + u) of `coincidence_data`, without expanding the
+shift.  It has the same variables as `chow_presentation` but generally
+fewer relations, so rank agreement between the two is a genuine
+cross-check and not a tautology.
 
-`chow_presentation` evaluates each distinct Chern polynomial at each
-distinct divisor sum once per call, and keeps the evaluations in a dict
-of that call only: no memo outlives the call that made it.
+Each builder does its exact work once per call.  Divisor variables are
+looked up as packed units once.  `chow_presentation` makes each lower
+set's divisor sum and its powers once, and every Chern polynomial
+evaluated at that set shares them.  The iterated build makes each Chern
+polynomial once per walk, and over many walks (`_walk_presentations`,
+which the construction check uses) each distinct wall crossing once.  No
+memo outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -35,12 +41,14 @@ from fmchow.geomdata import (
     divisor_sum,
 )
 from fmchow.polyalg import (
+    FIELD_BITS,
     ChernPoly,
     Poly,
     Presentation,
     Var,
     VarTable,
     chern_eval,
+    chern_eval_powers,
     chern_shift,
     divisor_name,
     transport,
@@ -81,6 +89,57 @@ def _annihilators(geom: ProjectiveGeometry, table, dvar: dict) -> list:
     return rels
 
 
+class _Build:
+    """What one build shares over one variable table: each divisor
+    variable's packed unit, looked up once, and each Chern polynomial of
+    an index set along a chain, made once.  It lives for one call."""
+
+    def __init__(self, geom: ProjectiveGeometry, table: VarTable):
+        self.geom, self.table = geom, table
+        self._units, self._cherns = {}, {}
+
+    def divisor_sum(self, sets) -> Poly:
+        """The sum of the divisor variables D_V of the distinct sets V."""
+        units, terms = self._units, {}
+        for v in sets:
+            if v not in units:
+                units[v] = 1 << self.table.index(divisor_name(v)) * FIELD_BITS
+            terms[units[v]] = 1
+        return Poly._of(self.table, terms)
+
+    def chern(self, s, chain=None) -> ChernPoly:
+        """`chern_set` of the index set s along `chain`."""
+        key = (s, chain)
+        if key not in self._cherns:
+            c = chern_set(self.geom, s, self.table, chain=chain)
+            # chern_set answers over the equal table its pairwise cache was
+            # made on; moved onto this one, no product here compares tables
+            coeffs = [Poly._of(self.table, x.packed) for x in c.coeffs]
+            self._cherns[key] = ChernPoly(self.table, c.degree, coeffs)
+        return self._cherns[key]
+
+    def ideal_gens(self, members, t, rep) -> list:
+        """Generators of the ideal of the coincidence locus of the small
+        cluster t, where the large sets are `members`: see
+        `coincidence_data`."""
+        gens = list(diagonal_ideal(self.geom, t, self.table))
+        gens += [self.divisor_sum([s]) for s in members if is_overlap(s, t)]
+        for s in members:
+            if s > t:
+                c = self.chern((s - t) | {rep})
+                gens.append(chern_eval(c, self.divisor_sum([v for v in members if v >= s])))
+        return gens
+
+    def crossing(self, processed, t) -> list:
+        """The relations of the wall crossing at the small cluster t after
+        the large sets `processed`: g*E for each generator g of t's
+        coincidence locus, and P_t(E + u), u the sum of D_V over V in
+        `processed` strictly containing t."""
+        e = self.divisor_sum([t])
+        point = self.divisor_sum([t] + [v for v in processed if v > t])
+        return _blowup_relations(self.ideal_gens(processed, t, min(t)), self.chern(t), e, point)
+
+
 def chow_presentation(
     geom: ProjectiveGeometry, large: LargeFamily, chain=None
 ) -> Presentation:
@@ -99,23 +158,26 @@ def chow_presentation(
     `chain` optionally overrides the chain used inside Chern-polynomial
     products (a callable from a set to an index sequence); the default is
     increasing order.  Each distinct (set, chain, lower set) evaluation in
-    the last two families is computed once per call.
+    the last two families is computed once per call, and each lower set's
+    divisor sum and its powers once, shared by every evaluation there.
     """
     table = geom.table_for(large)
     members = large.sorted_members()
-    dvar = {s: Poly.variable(table, divisor_name(s)) for s in members}
+    build = _Build(geom, table)
     chain_for = chain or sorted
-    cherns, values = {}, {}
+    powers, values = {}, {}
 
     def value(s, lower) -> Poly:
         order = tuple(chain_for(s))
         key = (s, order, lower)
         if key not in values:
-            if (s, order) not in cherns:
-                cherns[s, order] = chern_set(geom, s, table, chain=order)
-            values[key] = chern_eval(cherns[s, order], divisor_sum(table, large, lower))
+            if lower not in powers:
+                sigma = build.divisor_sum([v for v in members if v >= lower])
+                powers[lower] = [Poly.constant(table, 1), sigma]
+            values[key] = chern_eval_powers(build.chern(s, order), powers[lower])
         return values[key]
 
+    dvar = {s: build.divisor_sum([s]) for s in members}
     rels = _annihilators(geom, table, dvar)
     for s in members:
         rels.append(value(s, s))
@@ -192,27 +254,21 @@ def coincidence_data(
         rep = min(t)
     if rep not in t:
         raise ValueError(f"representative {rep} is not in {sorted(t)}")
-    table = table or geom.table_for(large)
-    gens = list(diagonal_ideal(geom, t, table))
+    build = _Build(geom, table or geom.table_for(large))
     members = large.sorted_members()
-    for s in members:
-        if is_overlap(s, t):
-            gens.append(Poly.variable(table, divisor_name(s)))
-    for s in members:
-        if s > t:
-            c = chern_set(geom, (s - t) | {rep}, table)
-            gens.append(chern_eval(c, divisor_sum(table, large, s)))
     # t is not large, so the large sets containing t contain it strictly
-    shift = divisor_sum(table, large, t)
-    chern = chern_shift(chern_set(geom, t, table), shift, sign=-1)
-    return CoincidenceData(t, tuple(gens), chern)
+    shift = build.divisor_sum([v for v in members if v > t])
+    chern = chern_shift(build.chern(t), shift, sign=-1)
+    return CoincidenceData(t, tuple(build.ideal_gens(members, t, rep)), chern)
 
 
-def _blowup_relations(center_ideal, chern: ChernPoly, e: Poly) -> list:
+def _blowup_relations(center_ideal, chern: ChernPoly, e: Poly, point: Poly) -> list:
     """The relations one blow-up adds, all over the table of its
-    exceptional class `e`: g*E for each g in J, and P(-E)."""
+    exceptional class `e`: g*E for each g in J, and the center's Chern
+    polynomial at `point`.  `blowup_step` evaluates P at -E; a wall
+    crossing evaluates the unshifted P_t at E + u, the same polynomial."""
     rels = [g * e for g in center_ideal]
-    rels.append(chern_eval(chern, -e))
+    rels.append(chern_eval(chern, point))
     return rels
 
 
@@ -239,8 +295,39 @@ def blowup_step(
         table, chern.degree, [transport(c, table) for c in chern.coeffs]
     )
     rels = [transport(r, table) for r in p.relations]
-    rels += _blowup_relations(gens, shifted, Poly.variable(table, name))
+    e = Poly.variable(table, name)
+    rels += _blowup_relations(gens, shifted, e, -e)
     return Presentation(table, rels, p.top_degree)
+
+
+def _walk_table(geom: ProjectiveGeometry, walk) -> VarTable:
+    """The point variables, then one divisor variable per step in walk
+    order."""
+    return VarTable(
+        geom.point_table().vars + tuple(Var(divisor_name(t), 1, None) for t in walk)
+    )
+
+
+def _walk_presentations(geom: ProjectiveGeometry, walks):
+    """The iterated presentation of each valid walk of one family in turn,
+    all over the first walk's table.
+
+    Each distinct crossing, a set of processed large sets and the next
+    cluster, is built once for all the walks.  Two of the presentations
+    are equal exactly when their canonical variable orders are, as one
+    permutation of the variables takes both there."""
+    table = _walk_table(geom, walks[0])
+    build = _Build(geom, table)
+    made = {}
+    for walk in walks:
+        rels, processed = [], frozenset()
+        for t in walk:
+            key = (processed, t)
+            if key not in made:
+                made[key] = build.crossing(processed, t)
+            rels += made[key]
+            processed = processed | {t}
+        yield Presentation(table, rels, geom.top_degree())
 
 
 def iterated_presentation(
@@ -249,27 +336,20 @@ def iterated_presentation(
     """Rebuild the presentation one wall crossing at a time.
 
     Starting from the base product (empty family), each step blows up the
-    coincidence locus of the next cluster in the walk, computed for the
-    family processed so far, introducing its divisor variable.  The
+    coincidence locus of the next cluster t in the walk, computed for the
+    family processed so far, introducing its divisor variable E.  The
     relations are those of folding `coincidence_data` and `blowup_step`
     over the walk, but built in one pass: every step works over the final
     table (the point variables, then one divisor variable per step in
-    walk order), adds its relations to one list, and one `Presentation`
-    is made at the end.  The result has the same variables as
+    walk order), evaluates the Chern polynomial of t at E + u rather than
+    its shift at -E, and adds its relations to one list, and one
+    `Presentation` is made at the end.  The Chern polynomials are made
+    once for the walk.  The result has the same variables as
     `chow_presentation(geom, large)` and a subset of its relations;
     equality of graded ranks is the central cross-check of the
     construction.
     """
+    if large.n != geom.n:
+        raise ValueError("family and geometry disagree on the number of points")
     steps = validate_walk(large, walk if walk is not None else canonical_walk(large))
-    table = VarTable(
-        geom.point_table().vars + tuple(Var(divisor_name(t), 1, None) for t in steps)
-    )
-    processed = LargeFamily.empty(geom.n)
-    # the base product, the empty family, has no relations
-    rels = []
-    for t in steps:
-        data = coincidence_data(geom, processed, t, rep=min(t), table=table)
-        e = Poly.variable(table, divisor_name(t))
-        rels += _blowup_relations(data.ideal_gens, data.chern, e)
-        processed = LargeFamily(geom.n, processed.members | {t})
-    return Presentation(table, rels, geom.top_degree())
+    return next(_walk_presentations(geom, [steps]))

@@ -20,9 +20,11 @@ Scenarios:
 * construction -- graded ranks of the direct presentation, of the
   iterated one-blow-up-at-a-time presentation, and of the combinatorial
   rank oracle all agree; optionally over every admissible walk.  Walks
-  are compared up to variable order: each walk's presentation is put in
-  canonical variable order, and each distinct one is ranked once.  This
-  is exact, as equal canonical presentations have the same variables and
+  are compared up to variable order: every walk's presentation is built
+  over the first walk's table, each distinct wall crossing once, and
+  each distinct presentation is ranked once.  This is exact: over one
+  table two presentations are equal exactly when their canonical
+  variable orders are, and then they have the same variables and
   relations, so the rings of their walks differ by a permutation of the
   variables, which keeps every graded rank.
 """
@@ -34,11 +36,12 @@ from dataclasses import dataclass
 
 from fmchow.errors import SizeCapError
 from fmchow.geomdata import ProjectiveGeometry
-from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable
+from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable, transport
 from fmchow.present import (
+    _walk_presentations,
+    _walk_table,
     blowup_step,
     chow_presentation,
-    iterated_presentation,
     simplified_presentation,
 )
 from fmchow.ranks import (
@@ -212,15 +215,18 @@ def check_construction(
     walk enumeration is refused with SizeCapError before any rank work,
     never checked on fewer walks than asked for.
 
-    Every walk's presentation is built and put in canonical variable
-    order, and `graded_ranks` runs once per distinct canonical
-    presentation, on the first walk's presentation in its own walk-order
-    table; each walk reports its class's table.  Equal canonical
-    presentations name the same variables and relations, so the walks'
-    rings differ only by a variable permutation, a graded isomorphism:
-    the one rank table is exact for each, and in either variable order.
-    A walk is superset-first, so its table puts each set's divisor in a
-    lower field than its subsets': the smallest sets lead, as in
+    Every walk's presentation is built over the first walk's table, each
+    distinct wall crossing (the sets processed before it and its cluster)
+    once for all the walks, and `graded_ranks` runs once per distinct
+    presentation there: on its first walk's presentation, transported to
+    that walk's own table.  Each walk reports its class's table.  Over one
+    table two presentations are equal exactly when their canonical
+    variable orders are, and equal canonical presentations name the same
+    variables and relations, so the walks' rings differ only by a
+    variable permutation, a graded isomorphism: the one rank table is
+    exact for each, and in either variable order.  A walk is
+    superset-first, so its table puts each set's divisor in a lower field
+    than its subsets': the smallest sets lead, as in
     `ProjectiveGeometry.table_for`, where the canonical order has the
     largest lead.  The evidence counts the walks checked and the
     presentations ranked."""
@@ -235,15 +241,16 @@ def check_construction(
     direct = graded_ranks(chow_presentation(geom, large), monomial_cap)
     oracle = rank_oracle(dim, n, large)
 
-    # canonical presentation -> its rank table; equal ones are one ring
+    # a walk's presentation over the first walk's table -> its rank table
     ranked = {}
     walk_tables = []
-    for walk in walk_list:
-        p = iterated_presentation(geom, large, walk)
-        key = p.canonical_var_order()
-        if key not in ranked:
-            ranked[key] = graded_ranks(p, monomial_cap)
-        walk_tables.append(ranked[key])
+    for walk, p in zip(walk_list, _walk_presentations(geom, walk_list)):
+        if p not in ranked:
+            table, own = _walk_table(geom, walk), p
+            if table != p.table:
+                own = Presentation(table, [transport(r, table) for r in p.relations], p.top_degree)
+            ranked[p] = graded_ranks(own, monomial_cap)
+        walk_tables.append(ranked[p])
 
     tables = [direct, oracle] + walk_tables
     passed = all(t == direct for t in tables)

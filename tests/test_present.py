@@ -448,6 +448,32 @@ class TestOnePassBuild:
             assert coincidence_data(geom, processed, t, table=final) == expected
             processed = LargeFamily(4, processed.members | {t})
 
+    @settings(deadline=None)
+    @given(sweep_instances())
+    def test_a_crossing_evaluates_the_chern_polynomial_at_e_plus_u(self, instance):
+        # P_t(E + u), u the divisors of the processed supersets of t, is the
+        # coincidence data's shifted Chern polynomial evaluated at -E
+        dim, weights = instance
+        geom = ProjectiveGeometry(dim, weights.n)
+        large = LargeFamily.from_weights(weights)
+        walk = canonical_walk(large)
+        table = iterated_presentation(geom, large, walk).table
+        processed = LargeFamily.empty(weights.n)
+        for t in walk:
+            e = Poly.variable(table, divisor_name(t))
+            u = Poly.variable_sum(table, [divisor_name(v) for v in processed.members if v > t])
+            data = coincidence_data(geom, processed, t, table=table)
+            assert chern_eval(chern_set(geom, t, table), e + u) == chern_eval(data.chern, -e)
+            processed = LargeFamily(weights.n, processed.members | {t})
+
+
+@pytest.mark.parametrize("builder", [chow_presentation, iterated_presentation])
+@pytest.mark.parametrize("n", [4, 2])
+def test_family_and_geometry_must_agree_on_the_points(builder, n):
+    # a family over three points, for a geometry over more or fewer
+    with pytest.raises(ValueError, match="family and geometry disagree on the number of points"):
+        builder(ProjectiveGeometry(1, n), LargeFamily.all_subsets(3))
+
 
 def test_no_memo_outlives_a_build(monkeypatch):
     # the Chern memos are local to one builder call: a second, equal build

@@ -1,6 +1,7 @@
 """Tests for the named verification scenarios."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,13 @@ import fmchow.verify as verify_module
 from fmchow.errors import SizeCapError
 from fmchow.geomdata import ProjectiveGeometry
 from fmchow.polyalg import Presentation, VarTable, transport
-from fmchow.present import chow_presentation, iterated_presentation, simplified_presentation
+from fmchow.present import (
+    _Build,
+    _walk_presentations,
+    chow_presentation,
+    iterated_presentation,
+    simplified_presentation,
+)
 from fmchow.ranks import DegreeSpan
 from fmchow.setcomb import LargeFamily, Weights, all_walks
 from fmchow.verify import (
@@ -183,6 +190,52 @@ class TestConstruction:
         }
         assert len(canonical) == 1
 
+    @pytest.mark.parametrize(
+        "dim, weights",
+        [(2, "1,1,1"), (1, "1/2,11/12,1/12,5/12"), (2, "1/2,1/2,1/2,1/4")],
+    )
+    def test_walk_classes_are_the_canonical_classes(self, dim, weights):
+        # over the first walk's table, each walk's presentation is its
+        # iterated presentation transported there, and two are equal exactly
+        # when their canonical variable orders are
+        w = Weights.from_strings(weights.split(","))
+        family = LargeFamily.from_weights(w)
+        geom = ProjectiveGeometry(dim, w.n)
+        walk_list = all_walks(family)
+        keys = list(_walk_presentations(geom, walk_list))
+        table = keys[0].table
+        canonical = []
+        for walk, key in zip(walk_list, keys):
+            p = iterated_presentation(geom, family, walk)
+            assert key == Presentation(table, [transport(r, table) for r in p.relations], p.top_degree)
+            canonical.append(p.canonical_var_order())
+        for i, j in combinations(range(len(walk_list)), 2):
+            assert (keys[i] == keys[j]) == (canonical[i] == canonical[j])
+
+    @pytest.mark.parametrize(
+        "dim, weights, crossings, steps",
+        [(2, "1,1,1", 13, 24), (2, "1/3,7/12,5/12,5/6", 79, 2688)],
+    )
+    def test_all_walks_build_each_distinct_crossing_once(
+        self, monkeypatch, dim, weights, crossings, steps
+    ):
+        made = []
+        built = _Build.crossing
+
+        def counted(self, processed, t):
+            made.append((processed, t))
+            return built(self, processed, t)
+
+        monkeypatch.setattr(_Build, "crossing", counted)
+        w = Weights.from_strings(weights.split(","))
+        family = LargeFamily.from_weights(w)
+        report = check_construction(dim, w.n, family, 60000, walks="all")
+        ev = report.evidence
+        assert report.passed
+        assert ev["walks_checked"] * len(family) == steps
+        assert ev["iterated_presentations_ranked"] == 1
+        assert len(made) == len(set(made)) == crossings
+
     def test_all_walks_rank_each_distinct_presentation_once(self, monkeypatch):
         calls = []
         ranks = verify_module.graded_ranks
@@ -206,16 +259,18 @@ class TestConstruction:
     def test_a_walk_with_another_presentation_is_ranked_on_its_own(self, monkeypatch):
         family = LargeFamily.all_subsets(3)
         last = all_walks(family)[-1]
-        built = verify_module.iterated_presentation
+        # the last walk's third crossing is the first that no other walk makes
+        only_last = (frozenset(last[:2]), last[2])
+        built = _Build.crossing
 
-        def one_relation_short(geom, large, walk):
-            p = built(geom, large, walk)
-            if list(walk) != list(last):
-                return p
+        def one_relation_short(self, processed, t):
+            rels = built(self, processed, t)
+            if (processed, t) != only_last:
+                return rels
             # the first relation, of degree 2, is not redundant: the ranks change
-            return Presentation(p.table, p.relations[1:], p.top_degree)
+            return rels[1:]
 
-        monkeypatch.setattr(verify_module, "iterated_presentation", one_relation_short)
+        monkeypatch.setattr(_Build, "crossing", one_relation_short)
         report = check_construction(2, 3, family, walks="all")
         ev = report.evidence
         assert not report.passed
