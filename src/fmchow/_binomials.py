@@ -61,9 +61,6 @@ class BinomialRules:
         self.rules = []
         #: degree -> the rules' leading monomials
         self.leads = {}
-        #: monomial -> NF of each monomial `normal` has met, once the rules
-        #: are final; a caller in a hot loop reads it before calling `normal`
-        self.normal_forms = {}
 
     def _at_least(self, a: int, b: int) -> int:
         """The full fields where a's exponent is at least b's."""
@@ -96,13 +93,6 @@ class BinomialRules:
                         if y & rests:
                             moved = True
         return u
-
-    def normal(self, u: int) -> int:
-        """NF(u), memoised for the life of the rules."""
-        got = self.normal_forms.get(u)
-        if got is None:
-            got = self.normal_forms[u] = self.reduce(u)
-        return got
 
     def accept(self, x: int, y: int, w: int, killers: list) -> bool:
         """Take x*w -> y*w as a rule iff every S-pair with a kept rule whose
@@ -147,15 +137,13 @@ class BinomialRules:
         replaced by its NF and equal ones merged; a term whose NF a cap
         divides is dropped."""
         out = {}
-        movers, rests, bias, guard = self._movers, self._rests, self._table._bias, self._guard
-        known, normal, over_cap = self.normal_forms, self.normal, self._table.over_cap
+        reduce, over_cap = self.reduce, self._table.over_cap
+        bias, guard = self._table._bias, self._guard
         for m, c in packed.items():
-            if m & movers and m & rests:
-                u = known.get(m) or normal(m)
-                if u != m and (u + bias) & guard and over_cap(u):
-                    continue
-                m = u
-            out[m] = out.get(m, 0) + c
+            u = reduce(m)
+            if u != m and (u + bias) & guard and over_cap(u):
+                continue
+            out[u] = out.get(u, 0) + c
         return {u: c for u, c in out.items() if c}
 
     def _killed(self, u: int, killers: list) -> bool:
@@ -179,6 +167,6 @@ class BinomialRules:
                         lcm = self._lcm(g, rest)
                         degree = lcm % field
                         if degree <= top:
-                            u = self.normal(lcm)
+                            u = self.reduce(lcm)
                             if not self._table.over_cap(u):
                                 killers.setdefault(degree, set()).add(u)

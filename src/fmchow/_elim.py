@@ -125,11 +125,6 @@ class Echelon:
         follows later inserts."""
         return self._pivots.keys()
 
-    def unit_columns(self):
-        """Columns whose pivot row has a single entry: the unit vector of
-        each lies in the span."""
-        return [c for c, (cols, _) in self._pivots.items() if len(cols) == 1]
-
     def reduced_rows(self) -> dict:
         """The reduced row-echelon form of the span, by back-substitution:
         lead column -> (cols, coeffs) of a row with no entry at any other

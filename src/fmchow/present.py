@@ -63,16 +63,11 @@ from fmchow.setcomb import (
 
 
 def _mixed_partners(n: int, s) -> list:
-    """All s' of size >= 2 meeting the large set s in exactly one index."""
-    s = frozenset(s)
-    ground = range(1, n + 1)
-    out = []
-    for k in range(2, n + 1):
-        for c in combinations(ground, k):
-            cs = frozenset(c)
-            if len(cs & s) == 1:
-                out.append(cs)
-    return sorted(out, key=subset_key)
+    """All s' of size >= 2 meeting the large set s in exactly one index:
+    one index of s with a nonempty subset of its complement."""
+    rest = [i for i in range(1, n + 1) if i not in s]
+    subsets = [c for k in range(1, len(rest) + 1) for c in combinations(rest, k)]
+    return sorted((frozenset((i, *c)) for i in s for c in subsets), key=subset_key)
 
 
 def _annihilators(geom: ProjectiveGeometry, table, dvar: dict) -> list:

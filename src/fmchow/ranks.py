@@ -43,37 +43,36 @@ NF(m) <= m in the lex order of the slices.  So the ring works in
 k[x]/(B), whose basis is B's standard monomials (Eisenbud and Sturmfels,
 "Binomial ideals", 1996; Cox, Little and O'Shea, ch. 2-3): each rule's
 leading monomial x*w is dead at its degree, as a solved variable is, and
-every product term, relation term and query term is read at its NF,
-memoised on the ring.  On a presentation of P^d with d >= 2 most
-relations are such binomials: the diagonal ones g*D_S for g = h_a -
-h_min(S), and g*E at each wall crossing of the iterated build.  A ring
-that takes no rule skips all of this.
+every product term, relation term and query term is read at its NF.  On
+a presentation of P^d with d >= 2 most relations are such binomials: the
+diagonal ones g*D_S for g = h_a - h_min(S), and g*E at each wall
+crossing of the iterated build.  A ring that takes no rule skips all of
+this.
 
 A degree slice builds no dead column.  The dead columns of degree k are
-the degree-k monomials of a monomial ideal J.  J is generated by the
-monomials known dead at their degree: each capped variable's vanishing
-power x_i^cap, the single-term relations ("killers"), the solved
-variables, the rules' leading monomials, and every monomial that a lower
-relation span found.  Apart from the multiples of the solved variables
-and of the leading monomials, which lead elements of the linear part of
-I and of B, J lies inside the relation ideal I.  A pivot row of one entry
-m, built from relation rows alone, says that c*m is a combination of
-relation multiples modulo B and the dead columns of its degree, which lie
-in I by induction, so m and each of its multiples at every higher degree
-lie in I.  As J_k lies in I_k + B_k, the relation rank of degree k is
-dim J_k plus the rank of the relation rows modulo J_k, and a form lies in
-the span iff the live terms of its NF do.
+the degree-k monomials of a monomial ideal J, fixed by the presentation
+before any span is built.  J is generated by the monomials known dead at
+their degree: each capped variable's vanishing power x_i^cap, the
+single-term relations ("killers"), the solved variables, the rules'
+leading monomials, and the normal forms that the closure below adds.
+Apart from the multiples of the solved variables and of the leading
+monomials, which lead elements of the linear part of I and of B, J lies
+inside the relation ideal I: a monomial the closure adds is NF(q*g) for
+a monomial g of J inside I, congruent to q*g modulo B, which lies in I.
+As J_k lies in I_k + B_k, the relation rank of degree k is dim J_k plus
+the rank of the relation rows modulo J_k, and a form lies in the span iff
+the live terms of its NF do.  No span changes another's columns.
 
 J stays closed under the multiplication of k[x]/(B): for every monomial m
 of J inside I and every monomial q, NF(q*m) lies in J.  To that end each
 monomial g of J inside I that a layer kills while it is live -- a killer,
-a found monomial, or one this rule adds -- also kills NF(lcm(x*w, g)) at
-its degree, for each rule x*w -> y*w such that x's exponent in g exceeds
-its exponent in w.  That is the S-pair of the rule and g; with all of
-them reduced to zero, the rules and J's generators inside I are a
-Groebner basis of the ideal they generate, which holds q*m, so NF(q*m)
-reduces to zero by a generator alone: one divides it.  A monomial of J
-inside I that is no such g is a multiple of one.
+or one this rule adds -- also kills NF(lcm(x*w, g)) at its degree, for
+each rule x*w -> y*w such that x's exponent in g exceeds its exponent in
+w.  That is the S-pair of the rule and g; with all of them reduced to
+zero, the rules and J's generators inside I are a Groebner basis of the
+ideal they generate, which holds q*m, so NF(q*m) reduces to zero by a
+generator alone: one divides it.  A monomial of J inside I that is no
+such g is a multiple of one.
 
 The live columns are J's standard monomials, enumerated degree by degree by one rule: a degree-d
 monomial is live iff each of its degree-(d-1) divisors is live and it is
@@ -85,12 +84,10 @@ product with the shift's NF, whose signature is smaller.  A `GradedRing`
 owns the slices of one presentation and is the one place that decides
 which monomials are dead.  It counts the full basis of each degree by a small DP over the
 variables, so the monomial cap refuses on that count -- all monomials,
-live or dead -- before anything is built; it sorts the relations,
-enumerates the live monomials of a degree once for all its slices, and
-deletes what each relation span finds from that span's layer while the
-degree above is not enumerated yet.  Every query walks the spans of a ring
-through `map`, in ascending degree, so one span of a ring is alive at a
-time and each span's columns already exclude what the spans below found.
+live or dead -- before anything is built; it sorts the relations and
+enumerates the live monomials of a degree once for all its slices.  Every
+query walks the spans of a ring through `map`, in ascending degree, so
+one span of a ring is alive at a time.
 
 Nor does a slice build a row that is bound to be empty or to lie in the
 span of the rows before it.  It inserts its relation rows in signature
@@ -118,11 +115,7 @@ smaller signature went in before it, so its reduction to zero says
 Multiplied by q, the identity writes q*s*f_j through the rows q*s'*f_i,
 modulo B + q*J_e.  Each of those is the row at NF(q*s'), whose signature
 (i, NF(q*s')) is still below (j, q*s), as NF(q*s') <= q*s' < q*s when
-i = j.  And q*J_e lies in B + J_k: the ring only deletes monomials from a
-layer, a layer is frozen once the next is enumerated, each layer is the
-divisor-closed extension of the one below, less what is dead at its
-degree, so a multiple of a monomial ever dead at degree e is dead above
-it, and J is closed under the ring's multiplication.
+i = j.  And q*J_e lies in J_k, as J is an ideal.
 
 By induction over the signatures, every multiple of degree k lies in the
 span of the built rows of signature up to its own, modulo J_k: a multiple
@@ -175,9 +168,9 @@ monomial.  The echelon pivots a row on its first column, which is then the
 row's leading monomial in the lex order the signatures are compared by.
 Relation terms are kept in descending order, leading monomial first, so a
 row's columns come out ascending as they are.  Nothing above depends on the
-column order: a zero row and a pivot of one entry mean the same under any
-order, so every rank and answer is the same under each; only which
-monomials are found, and how much reduction a row takes, vary with it.
+column order: a zero row means the same under any order, so every rank
+and answer is the same under each; only how much reduction a row takes
+varies with it.
 Under this order a pivot row, which lies in the span, leads with its first
 column, so the live columns without a pivot are the standard monomials of
 the span, those that lead none of its elements: the dead ones all lie in
@@ -391,17 +384,16 @@ class _LinearPart:
 class GradedRing:
     """The one owner of a presentation's degree slices and of what they share:
     the monomial counts, made at once for the cap check, then on first use the
-    monomials known dead at each degree, the binomial rules and their normal
-    form, the other relations' packed terms and each degree's live
-    monomials.  It alone decides which monomials are dead, by deleting them
-    from its stored live layers: the rules' leading monomials and the
-    killers when a layer is enumerated, and what a relation span finds once
-    its rows are in.  Before it enumerates a layer it kills what the rules'
-    S-pairs with the monomials killed one degree down ask for, so that J
-    stays closed under the ring's multiplication.  It also keeps each
-    relation's shift layers, from which the spans drop the shifts whose rows
-    were empty or reduced to zero (see the module docstring).  Packed
-    monomials are those of the presentation's table."""
+    monomials known dead at each degree, the binomial rules, the other
+    relations' packed terms and each degree's live monomials.  It alone
+    decides which monomials are dead, by deleting the rules' leading
+    monomials and the killers from each live layer as it enumerates it.
+    Before it enumerates a layer it kills what the rules' S-pairs with the
+    monomials killed one degree down ask for, so that J stays closed under
+    the ring's multiplication.  It also keeps each relation's shift layers,
+    from which the spans drop the shifts whose rows were empty or reduced
+    to zero (see the module docstring).  Packed monomials are those of the
+    presentation's table."""
 
     #: None until `_split` looks for a linear part, then the ring's
     #: `_LinearPart`, or False when it has none
@@ -592,19 +584,6 @@ class GradedRing:
         for m in shifts:
             del layers[e][m]
 
-    def _record_found(self, k: int, monomials):
-        """Delete monomials a degree-k relation span found from the stored
-        layer k, unless degree k+1 is enumerated already: the layers above
-        then fail the divisor test at the found monomials' multiples, while
-        a layer built before would keep them.  A found monomial is closed
-        under the rules with the killed ones when the next layer is built."""
-        if len(self._live) <= k + 1:
-            layer = self._live[k]
-            for m in monomials:
-                del layer[m]
-            if self._rules:
-                self._fresh[k].extend(monomials)
-
     def packed_terms(self, poly: Poly) -> list:
         """(packed monomial, coefficient) pairs of a polynomial, rewritten
         by the ring's linear part if it has one and in normal form under its
@@ -637,12 +616,9 @@ class DegreeSpan:
     knows dead are no columns.  Relation rows go in in signature
     order, each relation's at the shifts of its shift layer on the ring,
     and a shift whose row is empty or reduces to zero is dropped from that
-    layer (see the module docstring).  Once the relation rows are in,
-    each pivot of one entry is a monomial found in the ideal, which the
-    ring deletes from its layer.
-    Extra generators (ideal generators) can be inserted afterwards at
-    every live shift, and single rows (mapped classes) as well.  The
-    full basis is counted, not built; `monomials` lists it on first use.
+    layer (see the module docstring).  Extra generators (ideal generators)
+    can be inserted afterwards at every live shift, and single rows
+    (mapped classes) as well.  The full basis is counted, not built.
     Ranks always refer to the full column space.
     """
 
@@ -662,22 +638,11 @@ class DegreeSpan:
         self._ech = Echelon(len(alive))
         self._insert_products(ring.packed_relations, True)
         self._relation_rank = self._dead + self._ech.rank
-        units = self._ech.unit_columns()
-        self._monomials_found = len(units)
-        if units:
-            columns = list(self._alive_index)
-            ring._record_found(k, [columns[c] for c in units])
-
-    @cached_property
-    def monomials(self) -> list:
-        """The full degree-k basis, live and dead columns, in ascending
-        canonical order."""
-        return monomials_of_degree(self.presentation, self.degree)
 
     @property
     def alive_monomials(self) -> tuple:
-        """The ring's live degree-k monomials when the span was built, in
-        ascending canonical order: the columns of the echelon, last first."""
+        """The ring's live degree-k monomials, in ascending canonical order:
+        the columns of the echelon, last first."""
         return tuple(map(self.presentation.table.unpack, reversed(self._alive_index)))
 
     @property
@@ -714,32 +679,26 @@ class DegreeSpan:
         as `products_skipped` does."""
         return self._syzygies_found
 
-    @property
-    def monomials_found(self) -> int:
-        """Monomials this span's relation rows proved in the ideal: the
-        pivots of one entry before any other row went in."""
-        return self._monomials_found
-
     def _row(self, terms, shift: int = 0):
         """Coefficient row of packed terms times a packed monomial shift
         over the live columns, as parallel (cols, coeffs) lists.  A product
-        term off the live index is looked up again at its NF, memoised on
-        the ring, and when one is found there the row's equal columns are
-        merged and sorted.  Otherwise the cols ascend as they are, because
-        the terms descend and the live index reverses the packed order."""
+        term off the live index is looked up again at its NF, and when one
+        is found there the row's equal columns are merged and sorted.
+        Otherwise the cols ascend as they are, because the terms descend and
+        the live index reverses the packed order."""
         index = self._alive_index
         rules = self.ring._rules
-        known, normal = (rules.normal_forms, rules.normal) if rules else (None, None)
+        reduce = rules.reduce if rules else None
         cols = []
         coeffs = []
         moved = False
         for t, c in terms:
             col = index.get(t + shift)
             if col is None:
-                if known is None:
+                if reduce is None:
                     continue
                 u = t + shift
-                v = known.get(u) or normal(u)
+                v = reduce(u)
                 if v == u:
                     continue
                 col = index.get(v)
@@ -949,10 +908,11 @@ def kernel_ranks(
         if tgt_span.degree > source_top:
             return None
         src_span = next(sources)
-        # a dead monomial lies in the source ideal (killed, or a multiple of
-        # a monomial a lower source span found), or is congruent modulo it to
-        # a combination of live ones (a solved variable's multiple, or a
-        # rule's leading monomial's): the live ones span the source quotient
+        # a dead monomial lies in the source ideal (a multiple of a cap, a
+        # killer or a monomial their closure under the rules kills), or is
+        # congruent modulo it to a combination of live ones (a solved
+        # variable's multiple, or a rule's leading monomial's): the live
+        # ones span the source quotient
         names = p_source.table.names()
         image = sum(
             tgt_span.insert(_map_monomial(m, names, var_images, p_target))

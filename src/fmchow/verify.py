@@ -245,12 +245,13 @@ def check_construction(
     ranked = {}
     walk_tables = []
     for walk, p in zip(walk_list, _walk_presentations(geom, walk_list)):
-        if p not in ranked:
+        ranks = ranked.get(p)
+        if ranks is None:
             table, own = _walk_table(geom, walk), p
             if table != p.table:
                 own = Presentation(table, [transport(r, table) for r in p.relations], p.top_degree)
-            ranked[p] = graded_ranks(own, monomial_cap)
-        walk_tables.append(ranked[p])
+            ranks = ranked[p] = graded_ranks(own, monomial_cap)
+        walk_tables.append(ranks)
 
     tables = [direct, oracle] + walk_tables
     passed = all(t == direct for t in tables)

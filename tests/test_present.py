@@ -1,5 +1,7 @@
 """Tests for the presentation builders and the iterated construction."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from fmchow.setcomb import (
     all_walks,
     canonical_walk,
     merge_family,
+    subset_key,
 )
 
 F = frozenset
@@ -553,6 +556,17 @@ def test_presentation_bytes_are_golden(dim, weights, tmp_path):
         simplified_presentation(geom).dump().encode(),
     ]
     assert tuple(sha256(b).hexdigest() for b in blobs) == GOLDEN[dim, weights]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mixed_partners_equal_the_filter_over_all_subsets(n):
+    # every subset s' of size >= 2 meeting s in exactly one index, in
+    # (size, lexicographic) order, for every s
+    ground = range(1, n + 1)
+    subsets = [F(c) for k in range(n + 1) for c in combinations(ground, k)]
+    for s in subsets:
+        expected = sorted((c for c in subsets if len(c) >= 2 and len(c & s) == 1), key=subset_key)
+        assert fmchow.present._mixed_partners(n, s) == expected
 
 
 def test_equal_tables_compare_without_comparing_variables(monkeypatch):

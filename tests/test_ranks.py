@@ -264,14 +264,14 @@ class TestGradedRanks:
     def test_degree_span_reports_quotient(self):
         p, _, _ = blown_up_p3()
         span = DegreeSpan(GradedRing(p), 2)
-        assert len(span.monomials) == 3
+        assert len(monomials_of_degree(p, 2)) == 3
         assert span.quotient_rank() == 2
 
     def test_alive_monomials_are_the_unkilled_columns_in_order(self):
         p, _, _ = blown_up_p3()
         # the single-term relation h^2*E kills its own column
         span = DegreeSpan(GradedRing(p), 3)
-        assert span.monomials == [(3, 0), (2, 1), (1, 2), (0, 3)]
+        assert monomials_of_degree(p, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
         assert span.alive_monomials == ((3, 0), (1, 2), (0, 3))
         assert span.quotient_rank() == 1
 
@@ -573,12 +573,30 @@ class TestLiveColumns:
     @given(small_presentations(), st.data())
     def test_live_enumeration_equals_filtered_basis(self, p, data):
         k = data.draw(st.integers(0, p.top_degree))
-        # a fresh ring's layers know only the killers: no span has found any monomial
+        # a ring's layers know only the killers
         packed = list(GradedRing(p).live(k))
         assert packed == sorted(set(packed))
         live = [p.table.unpack(m) for m in packed]
         assert live == standard_monomials(p, k, killers_of(p))
         assert DegreeSpan(GradedRing(p), k).alive_monomials == tuple(live)
+
+    @pytest.mark.parametrize("dim, weights", [(1, ("1",) * 4), (2, ("1/2",) * 4)])
+    def test_no_span_changes_the_live_columns(self, dim, weights):
+        # the dead set is fixed by the presentation: the spans of one ring,
+        # built ascending or descending, have the same columns, the standard
+        # monomials of the killers, the solved variables and the rules' leads
+        family = LargeFamily.from_weights(Weights.from_strings(weights))
+        p = chow_presentation(ProjectiveGeometry(dim, len(weights)), family)
+        degrees = range(p.top_degree + 1)
+        rules = binomial_rules(p)
+        expected = [standard_monomials(p, k, killers_of(p), rules) for k in degrees]
+        for order in (degrees, reversed(degrees)):
+            ring = GradedRing(p)
+            columns = {span.degree: list(span.alive_monomials) for span in ring.spans(order)}
+            assert [columns[k] for k in degrees] == expected
+            # nor did a span change the ring's layers once it was built
+            assert [list(map(p.table.unpack, ring.live(k))) for k in degrees] == expected
+            assert len(rules) == sum(map(len, ring._rules.leads.values()))
 
     @given(st.sampled_from(TOP_DEGREES), st.integers(1, 5), st.data())
     def test_packing_round_trips_orders_and_never_carries(self, top, nvars, data):
@@ -615,7 +633,7 @@ class TestLiveColumns:
                 rows.append({col[m]: c for m, c in prod.terms.items()})
         span = DegreeSpan(GradedRing(p), k)
         assert span.quotient_rank() == len(basis) - dense_rank(rows, len(basis))
-        assert span.monomials == basis
+        assert monomials_of_degree(p, k) == basis
 
     @given(small_presentations())
     def test_degree_span_rejects_bad_slices(self, p):
@@ -763,8 +781,9 @@ class TestDenseRelations:
 
 
 class TestFoundMonomials:
-    """A monomial a relation span finds in the ideal kills its multiples in
-    every span above it on the same ring."""
+    """Every span of one ring matches the dense reference, also where a
+    span's rows prove a monomial in the ideal whose multiples stay columns
+    in the spans above."""
 
     @settings(deadline=None, max_examples=100)
     @given(small_presentations(max_vars=3, tops=(2, 3, 4), generic=True), st.data())
@@ -799,46 +818,6 @@ class TestFoundMonomials:
         k = data.draw(st.integers(0, p.top_degree - 2))
         for span in GradedRing(p).spans([k, k + 2]):
             check_span_against_dense(span, p, extra, gens, data)
-
-    @pytest.mark.parametrize("dim, weights", [(1, ("1",) * 4), (2, ("1/2",) * 4)])
-    def test_found_monomials_are_members_and_bound_the_live_columns(self, dim, weights):
-        family = LargeFamily.from_weights(Weights.from_strings(weights))
-        p = chow_presentation(ProjectiveGeometry(dim, len(weights)), family)
-        ring = GradedRing(p)
-        generators = killers_of(p)
-        rules = binomial_rules(p)
-        assert len(rules) == sum(map(len, ring._split and ring._rules.leads.values()))
-        found = []
-        for span in ring.spans(range(p.top_degree + 1)):
-            k = span.degree
-            assert list(span.alive_monomials) == standard_monomials(p, k, generators, rules)
-            # what the span found is what the ring deleted from its layer
-            monomials = sorted(set(span.alive_monomials) - set(map(p.table.unpack, ring.live(k))))
-            assert len(monomials) == span.monomials_found
-            generators += monomials
-            found += [Poly.monomial(p.table, m) for m in monomials]
-        assert found
-        # witnessed by a fresh ring, whose spans see no found monomial
-        assert all(memberships(p, [], found))
-
-    def test_spans_count_found_monomials(self):
-        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
-        spans = GradedRing(p).spans(range(p.top_degree + 1))
-        assert [(s.quotient_rank(), s.monomials_found) for s in spans] == [
-            (1, 0), (9, 0), (16, 0), (9, 0), (1, 4)
-        ]
-
-    def test_a_late_span_records_nothing_for_an_enumerated_degree(self):
-        # degree 8's layer was enumerated before degree 7's span was built,
-        # so what that span finds is not taken in: the layers stay consistent
-        family = LargeFamily.from_weights(Weights.from_strings(("1/2",) * 4))
-        p = chow_presentation(ProjectiveGeometry(2, 4), family)
-        ring = GradedRing(p)
-        top = DegreeSpan(ring, 8)
-        late = DegreeSpan(ring, 7)
-        assert late.monomials_found == 8
-        assert late.alive_monomials == tuple(map(p.table.unpack, ring.live(7)))
-        assert top.quotient_rank() == DegreeSpan(ring, 8).quotient_rank() == 1
 
 
 @st.composite
@@ -1074,19 +1053,19 @@ class TestBinomialRules:
 
     def test_a_found_monomial_kills_its_collapse_multiple(self):
         # h1*h3 = 0 makes h2^2 + h1*h3 a row of one live entry: degree 2
-        # finds h2^2.  Its multiple h2^2*D collapses by the rule
-        # h2*D -> h1*D to h1^2*D, no multiple of h2^2, whose divisors h1^2
-        # and h1*D are live: the ring kills it before degree 3 is built, so
-        # no row there has to find it again
+        # finds h2^2 in the ideal.  Its multiple h2^2*D collapses by the
+        # rule h2*D -> h1*D to h1^2*D, no multiple of h2^2, whose divisors
+        # h1^2 and h1*D are live.  The dead set holds no found monomial, so
+        # h1^2*D stays a column, and the rows of degree 3 find it again
         table = VarTable((Var("h1", 1, 3), Var("h2", 1, 3), Var("h3", 1, 3), Var("D")))
         h1, h2, h3, d = (Poly.variable(table, name) for name in ("h1", "h2", "h3", "D"))
         p = Presentation(table, [(h2 - h1) * d, h1 * h3, h2 * h2 + h1 * h3], 4)
         ring = GradedRing(p)
         spans = list(ring.spans(range(p.top_degree + 1)))
-        assert [s.monomials_found for s in spans] == [0, 0, 1, 0, 0]
-        assert table.unpack(max((h2 * h2).packed)) in spans[2].alive_monomials
+        for k, f in ((2, h2 * h2), (3, h1 * h1 * d)):
+            m = table.unpack(max(f.packed))
+            assert m in spans[k].alive_monomials and m not in spans[k].standard_monomials
         assert all(max(f.packed) in ring.live(2) for f in (h1 * h1, h1 * d))
-        assert table.unpack(max((h1 * h1 * d).packed)) not in spans[3].alive_monomials
         assert [s.quotient_rank() for s in spans] == dense_quotient_ranks(p)
 
     def test_a_move_onto_a_rest_repeats_the_pass(self):
