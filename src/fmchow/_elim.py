@@ -124,34 +124,3 @@ class Echelon:
         """The columns that lead a pivot row, as a read-only view that
         follows later inserts."""
         return self._pivots.keys()
-
-    def reduced_rows(self) -> dict:
-        """The reduced row-echelon form of the span, by back-substitution:
-        lead column -> (cols, coeffs) of a row with no entry at any other
-        pivot's lead, primitive and with a positive lead.  The pivots are
-        unchanged.
-
-        Rows are reduced from the last lead to the first.  A row's entry b
-        at a later lead, whose reduced row has lead a, is cancelled by
-        a'*row - b'*that row (a' = a/gcd(a, b), b' = b/gcd(a, b)), which
-        brings in only columns that lead no pivot."""
-        done = {}
-        for lead in sorted(self._pivots, reverse=True):
-            cols, coeffs = self._pivots[lead]
-            row = dict(zip(cols, coeffs))
-            for c in cols[1:]:
-                if c not in done:
-                    continue
-                pcols, pcoeffs = done[c]
-                a, b = pcoeffs[0], row[c]
-                g = gcd(a, b)
-                a //= g
-                b //= g
-                if a != 1:
-                    for k in row:
-                        row[k] *= a
-                for k, v in zip(pcols, pcoeffs):
-                    row[k] = row.get(k, 0) - b * v
-            cols = sorted(k for k, v in row.items() if v)
-            done[lead] = _normalized(cols, [row[k] for k in cols])
-        return done

@@ -385,10 +385,6 @@ class Poly:
         unpack = self.table.unpack
         return [(unpack(m), c) for m, c in sorted(self.packed.items(), reverse=True)]
 
-    def canonical_key(self):
-        """The packed terms in canonical order; equal keys, equal polynomials."""
-        return tuple(sorted(self.packed.items(), reverse=True))
-
     def sign_normalized(self) -> "Poly":
         """Same polynomial up to sign, with positive leading coefficient."""
         if self.packed and self.packed[max(self.packed)] < 0:

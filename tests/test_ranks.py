@@ -21,7 +21,6 @@ from fmchow.polyalg import (
     VarTable,
     _mono_key,
     divisor_name,
-    transport,
 )
 from fmchow.present import blowup_step, chow_presentation, iterated_presentation
 from fmchow.ranks import (
@@ -153,27 +152,6 @@ class TestEliminationKernels:
                 assert ech.contains(cols, coeffs)
                 assert all(pcols is not cols and pc is not coeffs for pcols, pc in ech._pivots.values())
 
-    def test_reduced_rows_are_the_dense_reduced_form(self):
-        # back-substitution: every pivot row, scaled to lead 1, is the
-        # Gauss-Jordan row of its lead, and the pivots are unchanged
-        rng = random.Random(20261019)
-        for trial in range(150):
-            ncols = rng.randint(4, 12)
-            rows = random_kernel_rows(rng, ncols)
-            ech = Echelon(ncols)
-            for row in rows:
-                cols = sorted(row)
-                ech.insert(cols, [row[c] for c in cols])
-            pivots = dict(ech._pivots)
-            reduced = ech.reduced_rows()
-            assert ech._pivots == pivots
-            dense = dense_reduced_rows(rows, ncols)
-            assert sorted(reduced) == list(dense)
-            for lead, (cols, coeffs) in reduced.items():
-                assert coeffs[0] > 0 and gcd(*coeffs) == 1
-                scaled = {c: Fraction(v, coeffs[0]) for c, v in zip(cols, coeffs)}
-                assert scaled == {c: v for c, v in enumerate(dense[lead]) if v}
-
     def test_rank_matches_dense_oracle(self):
         rng = random.Random(20240811)
         for trial in range(40):
@@ -269,10 +247,13 @@ class TestGradedRanks:
 
     def test_alive_monomials_are_the_unkilled_columns_in_order(self):
         p, _, _ = blown_up_p3()
-        # the single-term relation h^2*E kills its own column
-        span = DegreeSpan(GradedRing(p), 3)
+        # the basis leads with h^2*E and E^2 (E is the larger variable), so
+        # the columns are the standard monomials h^2, h*E and then h^3 alone
+        ring = GradedRing(p)
         assert monomials_of_degree(p, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
-        assert span.alive_monomials == ((3, 0), (1, 2), (0, 3))
+        assert DegreeSpan(ring, 2).alive_monomials == ((2, 0), (1, 1))
+        span = DegreeSpan(ring, 3)
+        assert span.alive_monomials == ((3, 0),)
         assert span.quotient_rank() == 1
 
 
@@ -284,6 +265,8 @@ class TestGradedRanks:
             raise AssertionError("a degree span was built before the cap refusal")
 
         monkeypatch.setattr(fmchow.ranks, "Echelon", no_echelon)
+        # the basis's first work is the normal form of its first relation
+        monkeypatch.setattr(fmchow.ranks.GradedRing, "_reduce", no_echelon)
         message = "degree 3 has 5301 monomials, over the cap of 1000"
         with pytest.raises(SizeCapError, match=message):
             graded_ranks(p, monomial_cap=1000)
@@ -291,13 +274,14 @@ class TestGradedRanks:
             ideal_ranks(p, [], monomial_cap=1000)
 
     def test_refusal_comes_before_any_packing_or_enumeration(self, monkeypatch):
-        # the ring counts at once and packs and enumerates only on first use
+        # the ring counts at once, and builds its basis (whose first work is a
+        # normal form) and enumerates only on first use
         p = chow_presentation(ProjectiveGeometry(1, 5), LargeFamily.all_subsets(5))
 
         def not_yet(*args):
             raise AssertionError("the ring did work before the cap refusal")
 
-        monkeypatch.setattr(fmchow.ranks.GradedRing, "packed_polys", not_yet)
+        monkeypatch.setattr(fmchow.ranks.GradedRing, "_reduce", not_yet)
         monkeypatch.setattr(fmchow.ranks, "_live_layer", not_yet)
         with pytest.raises(SizeCapError, match="degree 3 has 5301 monomials"):
             graded_ranks(p, monomial_cap=1000)
@@ -313,7 +297,7 @@ class TestGradedRanks:
         ],
     )
     def test_large_slices_agree_with_oracle(self, dim, weights, expected):
-        # the larger slices, where the shift layers skip the most multiples
+        # the larger slices, with basis elements up to degree 6
         n = len(weights)
         family = LargeFamily.from_weights(Weights.from_strings(weights))
         p = chow_presentation(ProjectiveGeometry(dim, n), family)
@@ -325,6 +309,11 @@ class TestGradedRanks:
         p = chow_presentation(ProjectiveGeometry(2, 4), family)
         expected = [1, 15, 67, 144, 182, 144, 67, 15, 1]
         assert graded_ranks(p, monomial_cap=None) == rank_oracle(2, 4, family) == expected
+        # (4,4) and (5,4) all-large: 127,825,575 and 1,233,427,380 monomials
+        # at top degree, a basis of 87 elements each
+        for dim in (4, 5):
+            p = chow_presentation(ProjectiveGeometry(dim, 4), family)
+            assert graded_ranks(p, monomial_cap=None) == rank_oracle(dim, 4, family)
 
     def test_reach_of_five_points_on_the_line_agrees_with_oracle(self):
         # (1,5) all-large: 297,662 monomials at top degree, 14,632 live
@@ -333,49 +322,70 @@ class TestGradedRanks:
         expected = [1, 21, 67, 67, 21, 1]
         assert graded_ranks(p, monomial_cap=None) == rank_oracle(1, 5, family) == expected
 
-    def test_spans_count_rows_and_skipped_multiples(self):
-        # a fresh ring has dropped no shift, so nothing is skipped and
-        # every nonempty live multiple is a row: 1,682 in all.  The six
-        # degree-1 relations are solved, and the diagonal binomials are
-        # rewrite rules, not rows
-        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
-        spans = [DegreeSpan(GradedRing(p), k) for k in range(p.top_degree + 1)]
-        assert [s.quotient_rank() for s in spans] == [1, 9, 16, 9, 1]
-        assert [s.rows_inserted for s in spans] == [0, 0, 64, 517, 1101]
-        assert all(s.products_skipped == 0 for s in spans)
+    @pytest.mark.parametrize(
+        "dim, n, by_degree",
+        [
+            (3, 3, [0, 0, 8, 3, 6, 0, 1, 0, 0, 0]),
+            (2, 4, [0, 0, 53, 20, 7, 6, 1, 0, 0]),
+            (1, 5, [0, 10, 164, 15, 1, 0]),
+            (3, 4, [0, 0, 47, 6, 20, 3, 4, 6, 0, 1, 0, 0, 0]),
+            (4, 4, [0, 0, 47, 0, 6, 20, 3, 0, 4, 6, 0, 0, 1, 0, 0, 0, 0]),
+        ],
+    )
+    def test_basis_leads_by_degree_are_the_reduced_basis(self, dim, n, by_degree):
+        # all-large: the leading monomials, counted by degree, are the minimal
+        # generators of the leading-term ideal in the slices' lex order, as
+        # many as the reduced Groebner basis has elements of each degree.  No
+        # lead divides another, and every element has lead 1
+        p = chow_presentation(ProjectiveGeometry(dim, n), LargeFamily.all_subsets(n))
+        basis = GradedRing(p).basis
+        leads = [max(g.packed) for g in basis]
+        degrees = [sum(p.table.unpack(m)) for m in leads]
+        assert [degrees.count(k) for k in range(p.top_degree + 1)] == by_degree
+        assert not any(a != b and p.table.divides(a, b) for a in leads for b in leads)
+        assert all(g.packed[m] == 1 for g, m in zip(basis, leads))
 
-    def test_syzygies_climb_the_degrees_of_a_shared_ring(self):
-        # the empty and zero relation rows a span drops from the shift
-        # layers skip their multiples in the spans above it: on the fresh
-        # rings above, degrees 3 and 4 insert 517 and 1,101 rows
-        p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
-        spans = GradedRing(p).spans(range(p.top_degree + 1))
-        counts = [(s.rows_inserted, s.products_skipped, s.syzygies_found) for s in spans]
-        assert counts == [(0, 0, 0), (0, 0, 0), (64, 0, 56), (73, 504, 48), (45, 1608, 7)]
+    def test_pairs_of_one_lcm_are_skipped_only_once_the_others_are_treated(self):
+        # the leads x*y, y*z and x*z share the lcm x*y*z, which each divides,
+        # so each pair has a third lead that divides its lcm.  The second
+        # criterion may skip only the last pair, once the other two are
+        # treated.  Two of the S-polynomials are not in the ideal of the
+        # relations' leads, and lead with a^2*z and a*b*y
+        table = VarTable(tuple(Var(name) for name in "abxyz"))
+        a, b, x, y, z = (Poly.variable(table, name) for name in "abxyz")
+        p = Presentation(table, [x * y - a * a, y * z - b * b, x * z - a * b], 3)
+        assert graded_ranks(p) == dense_quotient_ranks(p)
+        leads = [max(g.packed) for g in GradedRing(p).basis]
+        assert leads[3:] == [max((a * a * z).packed), max((a * b * y).packed)]
 
-    def test_a_relation_given_twice_has_empty_shift_layers(self):
-        # the copy comes after the relation, so its own-degree row reduces
-        # to zero: shift 1 is dropped, and no layer above holds a shift
+    def test_a_relation_given_twice_adds_nothing_to_the_basis(self):
+        # the copy's normal form is zero once the relation is in the basis
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         twice = max(p.relations, key=lambda r: len(r.packed)) * 2
         ring = GradedRing(Presentation(p.table, list(p.relations) + [twice], p.top_degree))
         assert list(map(DegreeSpan.quotient_rank, ring.spans(range(p.top_degree + 1)))) == [1, 9, 16, 9, 1]
-        j = ring.packed_relations.index((twice.homogeneous_degree(), ring.packed_terms(twice)))
-        shift_degrees = range(p.top_degree - twice.homogeneous_degree() + 1)
-        assert [ring.shift_layer(j, e) for e in shift_degrees] == [{} for _ in shift_degrees]
+        assert ring.basis == GradedRing(p).basis
+        assert ring.normal_form(twice).is_zero()
 
-    def test_no_shift_layer_reaches_the_top_degree(self):
-        # the top live layer keeps no divisors: only a relation of degree 0
-        # would be shifted by it, and such a form is a constant, a killer.
-        # A constant generator is shifted by the top live monomials alone
+    def test_a_cap_is_a_basis_element_of_one_term(self):
+        # h^4 = 0 is a relation of degree 4, above the top degree 3 of the
+        # blown-up P^3, and leaves no element; at top degree 4 it is one
+        p, h, e = blown_up_p3()
+        assert GradedRing(p).basis == p.relations
+        up = GradedRing(Presentation(p.table, p.relations, 4))
+        assert [g.packed for g in up.basis if len(g.packed) == 1] == [(h * h * e).packed, {4: 1}]
+        assert graded_ranks(Presentation(p.table, p.relations, 4)) == dense_quotient_ranks(
+            Presentation(p.table, p.relations, 4)
+        )
+
+    def test_a_constant_kills_every_degree(self):
+        # a constant relation leads with the monomial 1, which divides every
+        # monomial; a constant generator spans every degree of the quotient
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
-        ring = GradedRing(p)
-        assert list(map(DegreeSpan.quotient_rank, ring.spans(range(5)))) == [1, 9, 16, 9, 1]
-        assert set(ring.live(4).values()) == {None}
-        with pytest.raises(ValueError, match="top degree"):
-            ring.shift_layer(0, 4)
         one = Poly.constant(p.table, 1)
-        assert graded_ranks(Presentation(p.table, list(p.relations) + [2 * one], 4)) == [0] * 5
+        zero = Presentation(p.table, list(p.relations) + [2 * one], 4)
+        assert graded_ranks(zero) == [0] * 5
+        assert all(memberships(zero, [], [one] + [Poly.variable(p.table, name) for name in p.table.names()]))
         assert ideal_ranks(p, [one]) == [1, 9, 16, 9, 1]
 
     def test_live_monomials_are_enumerated_once_per_slice(self, monkeypatch):
@@ -469,38 +479,12 @@ def solved_variables(p):
     return [variables[c] for c in dense_pivot_columns(rows, len(variables))]
 
 
-def binomial_rules(p):
-    """The pure-difference binomials c*(x*w - y*w) among the relations, for
-    variables x > y, that hold no solved variable, as pairs (x*w, y*w) of
-    exponent tuples: the rewrite rules x*w -> y*w of a ring whose rules
-    are confluent, as on every presentation these helpers are used on."""
-    solved = {m.index(1) for m in solved_variables(p)}
-    rules = []
-    for r in p.relations:
-        if len(r.terms) != 2:
-            continue
-        (a, c), (b, e) = r.sorted_terms()
-        moved = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
-        if (
-            c == -e
-            and len(moved) == 2
-            and all(abs(a[i] - b[i]) == 1 for i in moved)
-            and not any(a[i] or b[i] for i in solved)
-        ):
-            rules.append((a, b))
-    return rules
-
-
 def killers_of(p):
-    """The single-term relations, the solved variables and the leading
-    monomials x*w of the binomial rules.  A solved variable x is dead at
-    degree 1 although x is not in the relation ideal: x - L(x) is, so x and
-    its multiples lead elements of the ideal's linear part, and the ring
-    counts them as dead.  So are the leading monomials, whose multiples
-    the rules rewrite.  `standard_monomials` adds their closure: the
-    monomials that a rule makes equal to a multiple of a killer."""
+    """The single-term relations and the variables that a degree-1 relation
+    solves for: a ring's leading monomials when, as in
+    `small_presentations`, every relation has one term."""
     killers = [next(iter(r.terms)) for r in p.relations if len(r.terms) == 1]
-    return killers + solved_variables(p) + [lead for lead, _ in binomial_rules(p)]
+    return killers + solved_variables(p)
 
 
 def brute_basis(p, k):
@@ -518,46 +502,16 @@ def brute_basis(p, k):
     return sorted(tails(0, k), key=_mono_key)
 
 
-def all_monomials(nvars, k):
-    """Every exponent tuple of degree k in nvars variables, caps ignored."""
-    if nvars == 1:
-        return [(k,)]
-    return [(e,) + t for e in range(k + 1) for t in all_monomials(nvars - 1, k - e)]
-
-
-def standard_monomials(p, k, generators, rules=()):
-    """Degree-k basis monomials that no generator (exponent tuple) divides,
-    nor, with `rules` (pairs (x*w, y*w) of exponent tuples), any monomial
-    the moves x*w*r <-> y*w*r join them to, caps ignored: the closure of
-    the generators, found by plain union-find over every degree-k
-    monomial.  A capped variable's vanishing power is a generator too, and
-    the rules' leading monomials among the generators kill no class."""
+def standard_monomials(p, k, generators):
+    """Degree-k basis monomials that no generator (exponent tuple) divides;
+    a capped variable's vanishing power is a generator too."""
     caps = [tuple(c if j == i else 0 for j in range(len(p.table))) for i, c in enumerate(p.table.caps()) if c]
 
     def divides(g, m):
         return all(a <= b for a, b in zip(g, m))
 
     generators = list(generators) + caps
-    dead = set()
-    if rules:
-        monomials = all_monomials(len(p.table), k)
-        parent = {m: m for m in monomials}
-
-        def root(m):
-            while parent[m] != m:
-                m = parent[m]
-            return m
-
-        for m in monomials:
-            for lead, tail in rules:
-                if divides(lead, m):
-                    parent[root(m)] = root(tuple(a - b + c for a, b, c in zip(m, lead, tail)))
-        # a leading monomial is dead for its rule, not zero: it kills no class
-        leads = {lead for lead, _ in rules}
-        killing = [g for g in generators if g not in leads]
-        killed = {root(m) for m in monomials if any(divides(g, m) for g in killing)}
-        dead = {m for m in monomials if root(m) in killed}
-    return [m for m in brute_basis(p, k) if m not in dead and not any(divides(g, m) for g in generators)]
+    return [m for m in brute_basis(p, k) if not any(divides(g, m) for g in generators)]
 
 
 class TestLiveColumns:
@@ -582,21 +536,21 @@ class TestLiveColumns:
 
     @pytest.mark.parametrize("dim, weights", [(1, ("1",) * 4), (2, ("1/2",) * 4)])
     def test_no_span_changes_the_live_columns(self, dim, weights):
-        # the dead set is fixed by the presentation: the spans of one ring,
-        # built ascending or descending, have the same columns, the standard
-        # monomials of the killers, the solved variables and the rules' leads
+        # the columns are fixed by the basis: the spans of one ring, built
+        # ascending or descending, have the same columns, the ring's standard
+        # monomials, as many in each degree as the oracle's rank
         family = LargeFamily.from_weights(Weights.from_strings(weights))
         p = chow_presentation(ProjectiveGeometry(dim, len(weights)), family)
         degrees = range(p.top_degree + 1)
-        rules = binomial_rules(p)
-        expected = [standard_monomials(p, k, killers_of(p), rules) for k in degrees]
+        tables = []
         for order in (degrees, reversed(degrees)):
             ring = GradedRing(p)
             columns = {span.degree: list(span.alive_monomials) for span in ring.spans(order)}
-            assert [columns[k] for k in degrees] == expected
+            tables.append([columns[k] for k in degrees])
             # nor did a span change the ring's layers once it was built
-            assert [list(map(p.table.unpack, ring.live(k))) for k in degrees] == expected
-            assert len(rules) == sum(map(len, ring._rules.leads.values()))
+            assert [list(map(p.table.unpack, ring.live(k))) for k in degrees] == tables[-1]
+        assert tables[0] == tables[1]
+        assert list(map(len, tables[0])) == rank_oracle(dim, len(weights), family)
 
     @given(st.sampled_from(TOP_DEGREES), st.integers(1, 5), st.data())
     def test_packing_round_trips_orders_and_never_carries(self, top, nvars, data):
@@ -677,6 +631,12 @@ class TestMembership:
         p, h, e = blown_up_p3()
         # degree-4 classes vanish in a threefold
         assert membership(p, [], (h * e) * (h * e)) is True
+
+    def test_normal_form_over_another_table_is_refused(self):
+        x, y = Var("x"), Var("y")
+        p = Presentation(VarTable((x, y)), [Poly.variable(VarTable((x, y)), "x")], 2)
+        with pytest.raises(StructureError, match="different variable table"):
+            GradedRing(p).normal_form(Poly.variable(VarTable((y, x)), "x"))
 
     def test_query_over_another_table_is_refused(self):
         # packed monomials are read by position: over (y, x), y packs as x does
@@ -781,9 +741,9 @@ class TestDenseRelations:
 
 
 class TestFoundMonomials:
-    """Every span of one ring matches the dense reference, also where a
-    span's rows prove a monomial in the ideal whose multiples stay columns
-    in the spans above."""
+    """Every span of one ring matches the dense reference, also where the
+    basis finds a monomial of the ideal above the degrees of the relations
+    that give it."""
 
     @settings(deadline=None, max_examples=100)
     @given(small_presentations(max_vars=3, tops=(2, 3, 4), generic=True), st.data())
@@ -900,9 +860,9 @@ def check_kernel_against_dense(p, data):
 
 
 class TestLinearPart:
-    """A ring solves its degree-1 relations for their leading variables and
-    rewrites every other relation, generator and query without them; the
-    dense references know nothing of it."""
+    """Rings with relations of degree 1, whose leading variables lead basis
+    elements and leave every column; the dense references know nothing of
+    the basis."""
 
     @settings(deadline=None, max_examples=100)
     @given(linear_presentations(), st.data())
@@ -928,14 +888,16 @@ class TestLinearPart:
         check_kernel_against_dense(p, data)
 
     def test_a_fresh_ring_rewrites_a_query(self):
-        # packing a form solves the linear part first, before any span
+        # a normal form builds the basis first, before any span: D{1,2} leads
+        # its pair's Chern relation and is rewritten in the other variables
         p = chow_presentation(ProjectiveGeometry(1, 4), LargeFamily.all_subsets(4))
         pair = Poly.variable(p.table, "D{1,2}")
-        terms = GradedRing(p).packed_terms(pair)
-        split = GradedRing(p)
-        assert split.packed_relations
-        assert terms == split.packed_terms(pair)
-        assert terms and not any(p.table.unpack(m)[p.table.index("D{1,2}")] for m, _ in terms)
+        form = GradedRing(p).normal_form(pair)
+        ring = GradedRing(p)
+        assert list(map(DegreeSpan.quotient_rank, ring.spans(range(5)))) == [1, 9, 16, 9, 1]
+        assert form == ring.normal_form(pair)
+        assert not form.is_zero() and not any(e[p.table.index("D{1,2}")] for e in form.terms)
+        assert ring.normal_form(pair - form).is_zero()
 
     @pytest.mark.parametrize("build", [chow_presentation, iterated_presentation])
     def test_no_live_column_holds_a_solved_variable(self, build):
@@ -983,9 +945,9 @@ def binomial_presentations(draw):
 
 
 class TestBinomialRules:
-    """A ring takes its pure-difference binomials as rewrite rules while
-    they stay confluent, kills their leading monomials and puts everything
-    else in normal form; the dense references know nothing of it."""
+    """Rings whose relations are mostly pure-difference binomials, such as
+    the diagonal relations of P^d for d >= 2; the dense references know
+    nothing of the basis."""
 
     @settings(deadline=None, max_examples=100)
     @given(binomial_presentations(), st.data())
@@ -1009,34 +971,6 @@ class TestBinomialRules:
     def test_graded_ranks_match_dense_reference(self, p):
         assert graded_ranks(p) == dense_quotient_ranks(p)
 
-    def test_a_shared_leading_monomial_leaves_the_second_binomial_a_relation(self):
-        # with h1 above h2 and h3, both diagonal binomials (h_a - h1)*D{1,2,3}
-        # lead with h1*D{1,2,3}: their S-pair h3*D{1,2,3} - h2*D{1,2,3} is
-        # in normal form, so only the first is a rule, and the second stays
-        # a relation.  So does (h2 - h1)*D{1,2}: its S-pair with the first
-        # rule is h2*D{1,2}*D{1,2,3} - h3*D{1,2}*D{1,2,3}
-        geom, family = ProjectiveGeometry(2, 3), LargeFamily.all_subsets(3)
-        p = chow_presentation(geom, family)
-        table = VarTable(p.table.vars[2::-1] + p.table.vars[3:])
-        permuted = Presentation(table, [transport(r, table) for r in p.relations], p.top_degree)
-        ring = GradedRing(permuted)
-        ring.packed_relations  # split the ring
-
-        def packed(*names):
-            return table.pack(tuple(int(n in names) for n in table.names()))
-
-        rules = {(lead, lead - x + y) for lead, x, y in ring._rules.rules}
-        assert rules == {
-            (packed("h1", "D{1,2,3}"), packed("h3", "D{1,2,3}")),
-            (packed("h2", "D{2,3}"), packed("h3", "D{2,3}")),
-            (packed("h1", "D{1,3}"), packed("h3", "D{1,3}")),
-        }
-        d123, d12 = Poly.variable(table, "D{1,2,3}"), Poly.variable(table, "D{1,2}")
-        h1, h2 = Poly.variable(table, "h1"), Poly.variable(table, "h2")
-        for second in ((h1 - h2) * d123, (h1 - h2) * d12):
-            assert (2, ring.packed_terms(second)) in ring.packed_relations
-        assert graded_ranks(permuted) == rank_oracle(2, 3, family)
-
     def test_a_killer_is_closed_through_a_rule_of_two_variables(self):
         # x^2 = 0 and x*a*b = y*a*b: the S-pair of the two leads
         # lcm(x^2, x*a*b) = x^2*a*b to y^2*a*b, which lies in the ideal but
@@ -1052,101 +986,46 @@ class TestBinomialRules:
         assert max((y * y * a * b).packed) not in ring.live(4)
 
     def test_a_found_monomial_kills_its_collapse_multiple(self):
-        # h1*h3 = 0 makes h2^2 + h1*h3 a row of one live entry: degree 2
-        # finds h2^2 in the ideal.  Its multiple h2^2*D collapses by the
-        # rule h2*D -> h1*D to h1^2*D, no multiple of h2^2, whose divisors
-        # h1^2 and h1*D are live.  The dead set holds no found monomial, so
-        # h1^2*D stays a column, and the rows of degree 3 find it again
+        # h1*h3 = 0 makes h2^2 + h1*h3 reduce to h2^2, a basis element of
+        # degree 2.  Its S-polynomial with (h2 - h1)*D, of lead h2*D, takes
+        # h2^2*D to h1*h2*D and on to h1^2*D, no multiple of h2^2, whose
+        # divisors h1^2 and h1*D are standard: a lead of degree 3
         table = VarTable((Var("h1", 1, 3), Var("h2", 1, 3), Var("h3", 1, 3), Var("D")))
         h1, h2, h3, d = (Poly.variable(table, name) for name in ("h1", "h2", "h3", "D"))
         p = Presentation(table, [(h2 - h1) * d, h1 * h3, h2 * h2 + h1 * h3], 4)
         ring = GradedRing(p)
         spans = list(ring.spans(range(p.top_degree + 1)))
         for k, f in ((2, h2 * h2), (3, h1 * h1 * d)):
-            m = table.unpack(max(f.packed))
-            assert m in spans[k].alive_monomials and m not in spans[k].standard_monomials
+            assert max(f.packed) not in ring.live(k)
+            assert ring.normal_form(f).is_zero()
         assert all(max(f.packed) in ring.live(2) for f in (h1 * h1, h1 * d))
         assert [s.quotient_rank() for s in spans] == dense_quotient_ranks(p)
 
     def test_a_move_onto_a_rest_repeats_the_pass(self):
-        # c*a -> b*a moves onto b, which the rest of d*b -> a*b holds: on
-        # d*c*a the group of d applies only after the group of c moved, so
-        # the normal form is a^2*b, two passes down
+        # the lead c*a of (c - b)*a moves d*c*a onto b, which the lead d*b
+        # of (d - a)*b holds: d*c*a divides by it only after the first step,
+        # and its normal form is a^2*b, two steps down.  The two leads are
+        # coprime, so the basis is the two relations
         table = VarTable(tuple(Var(name) for name in "abcd"))
         a, b, c, d = (Poly.variable(table, name) for name in "abcd")
         p = Presentation(table, [(c - b) * a, (d - a) * b], 3)
         ring = GradedRing(p)
-        assert ring.packed_relations == [] and len(ring._rules.rules) == 2
-        assert ring.packed_terms(d * c * a) == ring.packed_terms(a * a * b)
+        assert set(ring.basis) == set(p.relations)
+        assert ring.normal_form(d * c * a) == ring.normal_form(a * a * b) == a * a * b
         assert membership(p, [], d * c * a - a * a * b)
         assert graded_ranks(p) == dense_quotient_ranks(p)
 
     def test_a_rule_of_no_rest_rewrites_the_powers_of_its_variable(self):
-        # (x - y)*x is the rule x^2 -> x*y, whose w = x leaves no rest:
-        # x^3 rewrites to x*y^2 although it holds no other variable
+        # (x - y)*x leads with x^2, which holds no other variable: x^3
+        # divides down to x*y^2, and the basis is the one relation
         table = VarTable(tuple(Var(name) for name in "yx"))
         y, x = (Poly.variable(table, name) for name in "yx")
         p = Presentation(table, [(x - y) * x], 4)
         ring = GradedRing(p)
-        assert ring.packed_relations == [] and len(ring._rules.rules) == 1
-        assert ring.packed_terms(x * x * x) == ring.packed_terms(x * y * y)
+        assert ring.basis == p.relations
+        assert ring.normal_form(x * x * x) == ring.normal_form(x * y * y) == x * y * y
         assert memberships(p, [], [x * x - x * y, x * x * x - x * y * y]) == [True, True]
         assert graded_ranks(p) == dense_quotient_ranks(p)
-
-
-def lead_pair_outcomes(p):
-    """Walk a ring's spans from degree 0 up, then sort each pair i < j of
-    its relations whose row LM(f_i)*f_j lies at or below the top degree:
-    "kept" when LM(f_i) is still in f_j's shift layer of its degree;
-    otherwise "empty" when no term of the row lies on a live column of its
-    degree's span, and "nonempty" when one does: the row reduced to zero,
-    or a row at a divisor of LM(f_i) was dropped before it."""
-    ring = GradedRing(p)
-    live = {}
-    for span in ring.spans(range(p.top_degree + 1)):
-        live[span.degree] = set(map(p.table.pack, span.alive_monomials))
-    relations = ring.packed_relations
-    outcomes = {"kept": 0, "empty": 0, "nonempty": 0}
-    for j, (dj, terms) in enumerate(relations):
-        for di, lead_terms in relations[:j]:
-            if di + dj > p.top_degree:
-                continue
-            lead = lead_terms[0][0]
-            if lead in ring.shift_layer(j, di):
-                outcome = "kept"
-            elif any(t + lead in live[di + dj] for t, _ in terms):
-                outcome = "nonempty"
-            else:
-                outcome = "empty"
-            outcomes[outcome] += 1
-    return outcomes
-
-
-class TestLeadPairs:
-    """The lead criterion is not applied: the row LM(f_i)*f_j of a pair
-    i < j is empty or reduces to zero, so LM(f_i) is dropped from f_j's
-    shift layer and the spans above skip its multiples (see the
-    `fmchow.ranks` docstring)."""
-
-    @pytest.mark.parametrize(
-        "dim, weights",
-        [
-            (1, ("1",) * 4),
-            (3, ("1",) * 3),
-            (2, ("1/2",) * 4),
-            (4, ("1", "1/2", "1/2")),
-        ],
-    )
-    def test_lead_pairs_of_the_ladder_are_recorded_or_empty(self, dim, weights):
-        family = LargeFamily.from_weights(Weights.from_strings(weights))
-        outcomes = lead_pair_outcomes(chow_presentation(ProjectiveGeometry(dim, len(weights)), family))
-        assert outcomes["kept"] == 0
-        assert outcomes["nonempty"] > 0
-
-    @settings(deadline=None, max_examples=100)
-    @given(low_binomial_presentations())
-    def test_lead_pairs_of_low_binomials_are_recorded_or_empty(self, p):
-        assert lead_pair_outcomes(p)["kept"] == 0
 
 
 class TestStandardMonomials:
@@ -1423,8 +1302,20 @@ class TestOneSpanAlive:
 
 
 class TestFieldBound:
+    def test_ring_takes_a_top_degree_at_the_bound(self):
+        # a constant relation leaves every degree empty, so the ring is cheap
+        # up to the table's exponent bound, and refused one degree above it
+        table = VarTable((Var("x"), Var("y")))
+        one = Poly.constant(table, 1)
+        top = table.max_exponent
+        assert graded_ranks(Presentation(table, [one], top)) == [0] * (top + 1)
+        with pytest.raises(StructureError, match=f"exponent bound {top}"):
+            GradedRing(Presentation(table, [one], top + 1))
+
     def test_ring_refuses_a_top_degree_the_field_cannot_hold(self):
         table = VarTable((Var("x"), Var("y")))
         assert graded_ranks(Presentation(table, [], 5)) == [1, 2, 3, 4, 5, 6]
-        with pytest.raises(StructureError, match="packed field"):
-            graded_ranks(Presentation(table, [], 1 << 16))
+        # every exponent must stay below its field's guard bit, 2**15
+        for top in (1 << 15, 1 << 16):
+            with pytest.raises(StructureError, match="packed field"):
+                graded_ranks(Presentation(table, [], top))
