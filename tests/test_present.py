@@ -588,3 +588,87 @@ def test_equal_tables_compare_without_comparing_variables(monkeypatch):
     assert again.table is not first.table
     assert again == first and len(again.relations) == 520
     assert calls == []
+
+
+def _digest(p: Presentation) -> str:
+    # the dump, then the relations as stored over the build's own table,
+    # where walks that dump alike still differ
+    from hashlib import sha256
+
+    stored = "\n".join([" ".join(p.table.names())] + [str(r) for r in p.relations])
+    return sha256((p.dump() + stored).encode()).hexdigest()
+
+
+def _builder_paths():
+    """The builder paths `GOLDEN` misses, by name: the monic sign
+    convention, a chain override, `sweep`'s heaviest chamber direct and
+    iterated, and every walk of (2,3) all-ones, alone and as the
+    construction check builds them."""
+    middle_first = lambda s: sorted(s)[1:2] + sorted(s)[:1] + sorted(s)[2:]
+    largest_first = lambda s: [max(s)] + sorted(s)[:-1]
+    paths = {}
+    for dim, n in ((1, 4), (2, 3)):
+        geom, large = ProjectiveGeometry(dim, n, monic=True), LargeFamily.all_subsets(n)
+        paths[f"monic ({dim},{n}) direct"] = lambda g=geom, f=large: chow_presentation(g, f)
+        paths[f"monic ({dim},{n}) iterated"] = lambda g=geom, f=large: iterated_presentation(g, f)
+    for label, chain in (("middle first", middle_first), ("largest first", largest_first)):
+        for dim, n in ((1, 4), (2, 3)):
+            geom, large = ProjectiveGeometry(dim, n), LargeFamily.all_subsets(n)
+            paths[f"chain {label} ({dim},{n})"] = (
+                lambda g=geom, f=large, c=chain: chow_presentation(g, f, chain=c)
+            )
+    geom = ProjectiveGeometry(1, 4)
+    large = LargeFamily.from_weights(Weights.from_strings(["5/6", "1", "1", "1"]))
+    paths["(1,4) at 5/6,1,1,1 direct"] = lambda: chow_presentation(geom, large)
+    paths["(1,4) at 5/6,1,1,1 iterated"] = lambda: iterated_presentation(geom, large)
+    geom23, large23 = ProjectiveGeometry(2, 3), LargeFamily.all_subsets(3)
+    walks = all_walks(large23)
+    for i, walk in enumerate(walks):
+        paths[f"(2,3) walk {i}"] = lambda w=walk: iterated_presentation(geom23, large23, w)
+        # the construction check's path: every walk over the first walk's table
+        paths[f"(2,3) walk {i} shared"] = (
+            lambda i=i: list(fmchow.present._walk_presentations(geom23, walks))[i]
+        )
+    return paths
+
+
+BUILDER_GOLDEN = {
+    "(1,4) at 5/6,1,1,1 direct": "21fcac22d0f8b3e80eb66742c7174baccfd439e125aca3a61ef8670b148d26ce",
+    "(1,4) at 5/6,1,1,1 iterated": "d9e1ce403a9d0ad6afa0362c04adcb21fc51aeb748c9e4255da2f2d685a0ef5e",
+    "(2,3) walk 0": "49091f3cfbaefbdbffb2a92da2605119ea32c587681d0351575376b80c26fa5b",
+    "(2,3) walk 1": "50380d5c60a2ddefb48e63ad12236f5af36344fa4ab377488288d53aa5c24a82",
+    "(2,3) walk 2": "b1e620904a173d158ba4d82a7e810f9b3bee796abd6b6e37340c9b3fd5516ca3",
+    "(2,3) walk 3": "3f69729de45519f2e536d279034e313ff63d7a22ef8314ac7b450e6eff9fa0f1",
+    "(2,3) walk 4": "201fb7abf627b0be5191817a19098a5ddf0c4803c1fc92098ee0f13503dfe35a",
+    "(2,3) walk 5": "a6bf3f720453840065263fc53cbf8635b14469a937e35a8a55b8cd9e525dbccb",
+    "(2,3) walk 0 shared": "49091f3cfbaefbdbffb2a92da2605119ea32c587681d0351575376b80c26fa5b",
+    "(2,3) walk 1 shared": "49091f3cfbaefbdbffb2a92da2605119ea32c587681d0351575376b80c26fa5b",
+    "(2,3) walk 2 shared": "49091f3cfbaefbdbffb2a92da2605119ea32c587681d0351575376b80c26fa5b",
+    "(2,3) walk 3 shared": "49091f3cfbaefbdbffb2a92da2605119ea32c587681d0351575376b80c26fa5b",
+    "(2,3) walk 4 shared": "49091f3cfbaefbdbffb2a92da2605119ea32c587681d0351575376b80c26fa5b",
+    "(2,3) walk 5 shared": "49091f3cfbaefbdbffb2a92da2605119ea32c587681d0351575376b80c26fa5b",
+    "chain largest first (1,4)": "1dec99022bf46ec3b8e4d52f36096d83069adf24601d0599167bfb35b00126d7",
+    "chain largest first (2,3)": "7449a1a73765f96ba54873b32cb0a371252b9bd8d19ee493923f9b953c74f8d7",
+    "chain middle first (1,4)": "68e88e9cd5969206077fe198e3244853bc2ec44c495371d832978f272d8c04fa",
+    "chain middle first (2,3)": "b0fe15394868c9d20a5cce6aca754b1753c8b6f03773048e43458b4ec67e8f72",
+    "monic (1,4) direct": "34fd8f905396079c7f08e0843a6d73a6fc762daf15d31b3a7821921b80445ed5",
+    "monic (1,4) iterated": "67689ffac3172270b66ef976a296a5d9a162603b98271701ed2bf1c164b95b9d",
+    "monic (2,3) direct": "61ec57f87099a7cc2a28d6a0aecd76b8565fd29ddf11800b0ccf75d60cec5b32",
+    "monic (2,3) iterated": "14779c8caeb65471ddcee705aa57e93ba5aecb813aabac3ef8b2e8ccb0b2112b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_builder_paths()))
+def test_builder_paths_are_golden(name):
+    assert _digest(_builder_paths()[name]()) == BUILDER_GOLDEN[name]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_chain_that_drops_an_index_raises(dim):
+    # a chain must enumerate its set exactly once, however the build reuses
+    # chain prefixes
+    geom, large = ProjectiveGeometry(dim, 4), LargeFamily.all_subsets(4)
+    with pytest.raises(ValueError, match="exactly once"):
+        chow_presentation(geom, large, chain=lambda s: sorted(s)[:-1])
+    with pytest.raises(ValueError, match="exactly once"):
+        chow_presentation(geom, large, chain=lambda s: sorted(s) + [min(s)])
