@@ -128,21 +128,28 @@ def chern_pair(geom: ProjectiveGeometry, i: int, j: int, table: VarTable = None)
     return _chern_pair_cached(geom, i, j, table or geom.point_table())
 
 
-def chern_set(geom: ProjectiveGeometry, s, table: VarTable = None, chain=None) -> ChernPoly:
-    """Chern polynomial of the diagonal of a set s of indices: the product
-    of pairwise Chern polynomials along a chain through s.  The default
-    chain is increasing index order; any chain gives the same graded ranks
-    downstream (a tested property), though the generators differ."""
+def chain_order(s, chain=None) -> tuple:
+    """The chain through the index set s that `chern_set` multiplies
+    along: `chain`, which must enumerate s exactly once, or by default
+    increasing index order."""
     s = set(s)
     if len(s) < 2:
         raise ValueError("chern_set needs at least two indices")
-    table = table or geom.point_table()
     if chain is None:
-        chain = sorted(s)
-    else:
-        chain = list(chain)
-        if set(chain) != s or len(chain) != len(s):
-            raise ValueError("chain must enumerate the set exactly once")
+        return tuple(sorted(s))
+    chain = tuple(chain)
+    if set(chain) != s or len(chain) != len(s):
+        raise ValueError("chain must enumerate the set exactly once")
+    return chain
+
+
+def chern_set(geom: ProjectiveGeometry, s, table: VarTable = None, chain=None) -> ChernPoly:
+    """Chern polynomial of the diagonal of a set s of indices: the product
+    of pairwise Chern polynomials along a chain through s (`chain_order`).
+    Any chain gives the same graded ranks downstream (a tested property),
+    though the generators differ."""
+    chain = chain_order(s, chain)
+    table = table or geom.point_table()
     out = chern_pair(geom, chain[0], chain[1], table)
     for a, b in zip(chain[1:], chain[2:]):
         out = chern_mul(out, chern_pair(geom, a, b, table))

@@ -175,15 +175,6 @@ class VarTable:
         mask = (1 << FIELD_BITS) - 1
         return tuple((packed >> shift) & mask for shift in self._shifts)
 
-    def over_cap(self, packed: int) -> bool:
-        """Whether a variable cap divides a packed monomial, by the
-        add-and-mask of `Poly` multiplication.  Raises StructureError on an
-        uncapped exponent over `max_exponent`."""
-        over = (packed + self._bias) & self._guard
-        if over & self._overflow:
-            raise StructureError(self._too_large())
-        return bool(over)
-
     def divides(self, d: int, packed: int) -> bool:
         """Whether the packed monomial d divides the packed monomial
         `packed`: the fields never carry, so with every guard bit set,
@@ -201,6 +192,29 @@ def _coefficient(c) -> int:
         return index(c)
     except TypeError:
         raise StructureError(f"coefficient {c!r} is not an integer") from None
+
+
+def _mul_into(out: dict, p: dict, q: dict, table: VarTable) -> dict:
+    """Add the product of the packed terms p and q into `out` and return
+    it: the one multiply-accumulate loop of the module.  A product monomial
+    at or over a cap dies; one whose uncapped exponent overflows its field
+    raises StructureError."""
+    bias, guard, overflow = table._bias, table._guard, table._overflow
+    q = q.items()
+    for m1, c1 in p.items():
+        for m2, c2 in q:
+            m = m1 + m2
+            over = (m + bias) & guard
+            if over:
+                if over & overflow:
+                    raise StructureError(table._too_large())
+                continue  # monomial dies on a nilpotency cap
+            acc = out.get(m, 0) + c1 * c2
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
+    return out
 
 
 def _mono_key(exps):
@@ -341,22 +355,7 @@ class Poly:
                 return Poly._of(table, {})
             return Poly._of(table, {m: other * c for m, c in self.packed.items()})
         self._check_table(other)
-        bias, guard = table._bias, table._guard
-        out = {}
-        for m1, c1 in self.packed.items():
-            for m2, c2 in other.packed.items():
-                m = m1 + m2
-                over = (m + bias) & guard
-                if over:
-                    if over & table._overflow:
-                        raise StructureError(table._too_large())
-                    continue  # monomial dies on a nilpotency cap
-                acc = out.get(m, 0) + c1 * c2
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-        return Poly._of(table, out)
+        return Poly._of(table, _mul_into({}, self.packed, other.packed, table))
 
     __rmul__ = __mul__
 
@@ -538,22 +537,17 @@ class ChernPoly:
 
 def chern_mul(p: ChernPoly, q: ChernPoly) -> ChernPoly:
     """Product of Chern polynomials (codimensions add)."""
+    p.coeffs[0]._check_table(q.coeffs[0])
     table = p.table
-    degree = p.degree + q.degree
-    coeffs = [Poly.zero(table) for _ in range(degree + 1)]
+    coeffs = [{} for _ in range(p.degree + q.degree + 1)]
     for a, ca in enumerate(p.coeffs):
-        if ca.is_zero():
-            continue
         for b, cb in enumerate(q.coeffs):
-            if cb.is_zero():
-                continue
-            coeffs[a + b] = coeffs[a + b] + ca * cb
-    return ChernPoly(table, degree, coeffs)
+            _mul_into(coeffs[a + b], ca.packed, cb.packed, table)
+    return ChernPoly(table, p.degree + q.degree, [Poly._of(table, c) for c in coeffs])
 
 
 def chern_eval(p: ChernPoly, s: Poly) -> Poly:
     """Evaluate at a degree-1 class: sum of coeffs[l] * s^l."""
-    p.coeffs[0]._check_table(s)
     if not s.is_zero() and s.homogeneous_degree() != 1:
         raise DegreeError("evaluation argument must be homogeneous of degree 1")
     return chern_eval_powers(p, [Poly.constant(p.table, 1), s])
@@ -563,13 +557,13 @@ def chern_eval_powers(p: ChernPoly, powers: list) -> Poly:
     """`chern_eval` at the class powers[1], given as the list of its powers
     from the 0th.  The list is extended in place as far as p's degree
     needs and never further, so evaluations at one class share it."""
+    p.coeffs[0]._check_table(powers[1])
     while len(powers) <= p.degree:
         powers.append(powers[-1] * powers[1])
-    out = Poly.zero(p.table)
+    out = {}
     for c, power in zip(p.coeffs, powers):
-        if not c.is_zero():
-            out = out + c * power
-    return out
+        _mul_into(out, c.packed, power.packed, p.table)
+    return Poly._of(p.table, out)
 
 
 def chern_shift(p: ChernPoly, u: Poly, sign: int = 1) -> ChernPoly:
@@ -581,19 +575,17 @@ def chern_shift(p: ChernPoly, u: Poly, sign: int = 1) -> ChernPoly:
     if not u.is_zero() and u.homogeneous_degree() != 1:
         raise DegreeError("shift must be homogeneous of degree 1")
     table = p.table
-    coeffs = [Poly.zero(table) for _ in range(p.degree + 1)]
+    coeffs = [{} for _ in range(p.degree + 1)]
     upow = [Poly.constant(table, 1)]
     for _ in range(p.degree):
         upow.append(upow[-1] * u)
     from math import comb
 
     for ell, c in enumerate(p.coeffs):
-        if c.is_zero():
-            continue
         for j in range(ell + 1):
             contrib = c * (comb(ell, j) * (sign**j))
-            coeffs[j] = coeffs[j] + contrib * upow[ell - j]
-    return ChernPoly(table, p.degree, coeffs)
+            _mul_into(coeffs[j], contrib.packed, upow[ell - j].packed, table)
+    return ChernPoly(table, p.degree, [Poly._of(table, x) for x in coeffs])
 
 
 class Presentation:
@@ -604,8 +596,8 @@ class Presentation:
     normalization), so e.g. Z[h,E]/<h^4, h^2*E, E^2-2hE+h^2> is encoded
     with h capped at power 4 and the two explicit relations.  Relations
     are stored sign-normalized, deduplicated and canonically sorted: each
-    relation's terms are sorted once, and the leading coefficient of that
-    key gives the sign.
+    relation's terms are sorted once, and the leading term gives the degree
+    every term must have and the sign.
     """
 
     __slots__ = ("table", "relations", "top_degree")
@@ -613,14 +605,18 @@ class Presentation:
     def __init__(self, table: VarTable, relations: Iterable[Poly], top_degree: int):
         if top_degree < 0:
             raise ValueError("top degree must be nonnegative")
+        modulus = (1 << FIELD_BITS) - 1
         seen = {}
         for rel in relations:
             if rel.table is not table and rel.table != table:
                 raise StructureError("relation over a different variable table")
             if rel.is_zero():
                 continue
-            degree = rel.homogeneous_degree()  # raises DegreeError if inhomogeneous
             terms = sorted(rel.packed.items(), reverse=True)
+            degree = terms[0][0] % modulus
+            for m, _ in terms:
+                if m % modulus != degree:
+                    raise DegreeError(f"polynomial is inhomogeneous: {rel}")
             if terms[0][1] < 0:
                 rel = Poly._of(table, {m: -c for m, c in terms})
                 terms = rel.packed.items()  # in the sorted order

@@ -19,13 +19,13 @@ shift.  It has the same variables as `chow_presentation` but generally
 fewer relations, so rank agreement between the two is a genuine
 cross-check and not a tautology.
 
-Each builder does its exact work once per call.  Divisor variables are
-looked up as packed units once.  `chow_presentation` makes each lower
-set's divisor sum and its powers once, and every Chern polynomial
-evaluated at that set shares them.  The iterated build makes each Chern
-polynomial once per walk, and over many walks (`_walk_presentations`,
-which the construction check uses) each distinct wall crossing once.  No
-memo outlives the call that made it.
+Each builder does its exact work once per call (`_Build`): each chain's
+Chern polynomial is its prefix's times one pairwise factor, each distinct
+Chern evaluation is made once, and evaluations at one divisor sum share
+its powers, keyed by the sets summed, across lower sets and crossings.
+Over many walks (`_walk_presentations`, which the construction check
+uses) each distinct wall crossing is built once.  No memo outlives the
+call that made it.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from fmchow.errors import StructureError
-from fmchow.geomdata import (
-    ProjectiveGeometry,
-    chern_set,
-    diagonal_ideal,
-    divisor_sum,
-)
+from fmchow.geomdata import ProjectiveGeometry, chain_order, chern_set, diagonal_ideal
 from fmchow.polyalg import (
     FIELD_BITS,
     ChernPoly,
@@ -49,6 +44,7 @@ from fmchow.polyalg import (
     VarTable,
     chern_eval,
     chern_eval_powers,
+    chern_mul,
     chern_shift,
     divisor_name,
     transport,
@@ -85,13 +81,16 @@ def _annihilators(geom: ProjectiveGeometry, table, dvar: dict) -> list:
 
 
 class _Build:
-    """What one build shares over one variable table: each divisor
-    variable's packed unit, looked up once, and each Chern polynomial of
-    an index set along a chain, made once.  It lives for one call."""
+    """What one build shares over one variable table, for one call: each
+    divisor variable's packed unit, looked up once; the Chern polynomial
+    along each chain, made once as the one along the chain's prefix times
+    one pairwise factor, so chains that share a prefix share its product;
+    and each distinct Chern evaluation, made once, every evaluation at one
+    divisor sum sharing that sum's powers, keyed by the sets summed."""
 
     def __init__(self, geom: ProjectiveGeometry, table: VarTable):
         self.geom, self.table = geom, table
-        self._units, self._cherns = {}, {}
+        self._units, self._chains, self._powers, self._values = {}, {}, {}, {}
 
     def divisor_sum(self, sets) -> Poly:
         """The sum of the divisor variables D_V of the distinct sets V."""
@@ -103,15 +102,32 @@ class _Build:
         return Poly._of(self.table, terms)
 
     def chern(self, s, chain=None) -> ChernPoly:
-        """`chern_set` of the index set s along `chain`."""
-        key = (s, chain)
-        if key not in self._cherns:
-            c = chern_set(self.geom, s, self.table, chain=chain)
-            # chern_set answers over the equal table its pairwise cache was
-            # made on; moved onto this one, no product here compares tables
-            coeffs = [Poly._of(self.table, x.packed) for x in c.coeffs]
-            self._cherns[key] = ChernPoly(self.table, c.degree, coeffs)
-        return self._cherns[key]
+        """`chern_set` of the index set s along `chain`, checked as there."""
+        return self._along(chain_order(s, chain))
+
+    def _along(self, chain: tuple) -> ChernPoly:
+        if chain not in self._chains:
+            if len(chain) == 2:
+                c = chern_set(self.geom, chain, self.table, chain=chain)
+                # chern_set answers over the equal table its pairwise cache was
+                # made on; moved onto this one, no product here compares tables
+                coeffs = [Poly._of(self.table, x.packed) for x in c.coeffs]
+                self._chains[chain] = ChernPoly(self.table, c.degree, coeffs)
+            else:
+                self._chains[chain] = chern_mul(self._along(chain[:-1]), self._along(chain[-2:]))
+        return self._chains[chain]
+
+    def value(self, s, lower, members: frozenset, chain=None) -> Poly:
+        """`chern(s, chain)` evaluated at the sum of D_V over the V in
+        `members` that contain `lower`."""
+        order = chain_order(s, chain)
+        key = (order, lower, members)
+        if key not in self._values:
+            summed = frozenset(v for v in members if v >= lower)
+            if summed not in self._powers:
+                self._powers[summed] = [Poly.constant(self.table, 1), self.divisor_sum(summed)]
+            self._values[key] = chern_eval_powers(self._along(order), self._powers[summed])
+        return self._values[key]
 
     def ideal_gens(self, members, t, rep) -> list:
         """Generators of the ideal of the coincidence locus of the small
@@ -119,11 +135,8 @@ class _Build:
         `coincidence_data`."""
         gens = list(diagonal_ideal(self.geom, t, self.table))
         gens += [self.divisor_sum([s]) for s in members if is_overlap(s, t)]
-        for s in members:
-            if s > t:
-                c = self.chern((s - t) | {rep})
-                gens.append(chern_eval(c, self.divisor_sum([v for v in members if v >= s])))
-        return gens
+        family = frozenset(members)
+        return gens + [self.value((s - t) | {rep}, s, family) for s in members if s > t]
 
     def crossing(self, processed, t) -> list:
         """The relations of the wall crossing at the small cluster t after
@@ -131,8 +144,8 @@ class _Build:
         coincidence locus, and P_t(E + u), u the sum of D_V over V in
         `processed` strictly containing t."""
         e = self.divisor_sum([t])
-        point = self.divisor_sum([t] + [v for v in processed if v > t])
-        return _blowup_relations(self.ideal_gens(processed, t, min(t)), self.chern(t), e, point)
+        gens = [g * e for g in self.ideal_gens(processed, t, min(t))]
+        return gens + [self.value(t, t, processed | {t})]
 
 
 def chow_presentation(
@@ -152,25 +165,15 @@ def chow_presentation(
 
     `chain` optionally overrides the chain used inside Chern-polynomial
     products (a callable from a set to an index sequence); the default is
-    increasing order.  Each distinct (set, chain, lower set) evaluation in
-    the last two families is computed once per call, and each lower set's
-    divisor sum and its powers once, shared by every evaluation there.
+    increasing order.  Each distinct evaluation in the last two families
+    is made once per call.
     """
     table = geom.table_for(large)
     members = large.sorted_members()
     build = _Build(geom, table)
-    chain_for = chain or sorted
-    powers, values = {}, {}
 
     def value(s, lower) -> Poly:
-        order = tuple(chain_for(s))
-        key = (s, order, lower)
-        if key not in values:
-            if lower not in powers:
-                sigma = build.divisor_sum([v for v in members if v >= lower])
-                powers[lower] = [Poly.constant(table, 1), sigma]
-            values[key] = chern_eval_powers(build.chern(s, order), powers[lower])
-        return values[key]
+        return build.value(s, lower, large.members, chain(s) if chain else None)
 
     dvar = {s: build.divisor_sum([s]) for s in members}
     rels = _annihilators(geom, table, dvar)
@@ -191,12 +194,12 @@ def simplified_presentation(geom: ProjectiveGeometry) -> Presentation:
     """
     large = LargeFamily.all_subsets(geom.n)
     table = geom.table_for(large)
-    dvar = {s: Poly.variable(table, divisor_name(s)) for s in large.sorted_members()}
+    build = _Build(geom, table)
+    dvar = {s: build.divisor_sum([s]) for s in large.sorted_members()}
     rels = _annihilators(geom, table, dvar)
     for i, j in combinations(range(1, geom.n + 1), 2):
         pair = frozenset((i, j))
-        c = chern_set(geom, pair, table)
-        rels.append(chern_eval(c, divisor_sum(table, large, pair)))
+        rels.append(build.value(pair, pair, large.members))
     return Presentation(table, rels, geom.top_degree())
 
 
@@ -257,16 +260,6 @@ def coincidence_data(
     return CoincidenceData(t, tuple(build.ideal_gens(members, t, rep)), chern)
 
 
-def _blowup_relations(center_ideal, chern: ChernPoly, e: Poly, point: Poly) -> list:
-    """The relations one blow-up adds, all over the table of its
-    exceptional class `e`: g*E for each g in J, and the center's Chern
-    polynomial at `point`.  `blowup_step` evaluates P at -E; a wall
-    crossing evaluates the unshifted P_t at E + u, the same polynomial."""
-    rels = [g * e for g in center_ideal]
-    rels.append(chern_eval(chern, point))
-    return rels
-
-
 def blowup_step(
     p: Presentation, center_ideal, chern: ChernPoly, name: str
 ) -> Presentation:
@@ -291,7 +284,8 @@ def blowup_step(
     )
     rels = [transport(r, table) for r in p.relations]
     e = Poly.variable(table, name)
-    rels += _blowup_relations(gens, shifted, e, -e)
+    rels += [g * e for g in gens]
+    rels.append(chern_eval(shifted, -e))
     return Presentation(table, rels, p.top_degree)
 
 

@@ -14,6 +14,7 @@ from fmchow.polyalg import (
     Var,
     VarTable,
     chern_eval,
+    chern_eval_powers,
     chern_mul,
     chern_shift,
     divisor_name,
@@ -204,6 +205,16 @@ class TestChern:
                 lhs = chern_shift(chern_shift(p, h1, e1), h2, e2)
                 rhs = chern_shift(p, e1 * h2 + h1, e1 * e2)
                 assert lhs == rhs
+
+    def test_products_over_another_table_are_refused(self):
+        # the Chern product and evaluation add into one dict of packed
+        # terms, and still refuse a factor over another table
+        p = ChernPoly(T2, 1, [h(T2, 1), Poly.constant(T2, 1)])
+        q = ChernPoly(T1, 1, [h(T1, 1), Poly.constant(T1, 1)])
+        with pytest.raises(StructureError):
+            chern_mul(p, q)
+        with pytest.raises(StructureError):
+            chern_eval_powers(p, [Poly.constant(T1, 1), h(T1, 2)])
 
     def test_mul_degrees_add(self):
         p = ChernPoly(T2, 1, [h(T2, 1), Poly.constant(T2, 1)])
