@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from hashlib import sha256
 from itertools import combinations
 from math import gcd
 
@@ -40,6 +41,20 @@ from fmchow.ranks import (
 from fmchow.setcomb import LargeFamily, Weights
 
 F = frozenset
+
+#: all-large instances whose truncated Groebner basis is pinned
+BASIS_INSTANCES = {
+    f"({dim},{n}) {kind}": (dim, n, build)
+    for dim, n in ((1, 5), (2, 4))
+    for kind, build in (("direct", chow_presentation), ("iterated", iterated_presentation))
+}
+#: SHA-256 of the basis elements, one line each in the order found
+BASIS_GOLDEN = {
+    "(1,5) direct": "aee730874573d63d49b745a3212df2067de24ec36b11ffb4109aa6a702502189",
+    "(1,5) iterated": "1482639bc0cda68fd067832deffc53ee791513df91948b852bf231f5856a201e",
+    "(2,4) direct": "6200381d7be52d93a8c2665785a8afb4a3efb9586dafa2e037e50e3b20412fc9",
+    "(2,4) iterated": "d79ae4b5b84e3f6642c6e756ba3ada037567cb63f0582722e772fc063041d029",
+}
 
 
 def blown_up_p3():
@@ -344,6 +359,15 @@ class TestGradedRanks:
         assert [degrees.count(k) for k in range(p.top_degree + 1)] == by_degree
         assert not any(a != b and p.table.divides(a, b) for a in leads for b in leads)
         assert all(g.packed[m] == 1 for g, m in zip(basis, leads))
+
+    @pytest.mark.parametrize("name", sorted(BASIS_GOLDEN))
+    def test_basis_is_golden(self, name):
+        # the basis element for element, in the order found: a criterion
+        # that skips an S-polynomial of nonzero remainder changes it
+        dim, n, build = BASIS_INSTANCES[name]
+        p = build(ProjectiveGeometry(dim, n), LargeFamily.all_subsets(n))
+        basis = GradedRing(p).basis
+        assert sha256("\n".join(map(str, basis)).encode()).hexdigest() == BASIS_GOLDEN[name]
 
     def test_pairs_of_one_lcm_are_skipped_only_once_the_others_are_treated(self):
         # the leads x*y, y*z and x*z share the lcm x*y*z, which each divides,
