@@ -24,6 +24,7 @@ from functools import partial
 
 from fmchow.errors import FmchowError, SizeCapError
 from fmchow.geomdata import ProjectiveGeometry
+from fmchow.polyalg import format_dump
 from fmchow.present import chow_presentation, simplified_presentation
 from fmchow.ranks import graded_ranks, rank_oracle
 from fmchow.setcomb import LargeFamily, Weights, all_walks
@@ -230,21 +231,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _cas_export(presentation, config) -> str:
-    """Generic computer-algebra script: variable list, explicit nilpotency
-    generators for the capped variables, then the relation ideal."""
-    p = presentation.canonical_var_order()
+def _cas_export(record, config) -> str:
+    """Generic computer-algebra script of a presentation's
+    `to_json_dict` record: variable list, explicit nilpotency generators
+    for the capped variables, then the relation ideal."""
     lines = [
         "# generic computer-algebra export (integer coefficients, degree-1 variables)",
         f"# config: {json.dumps(config, sort_keys=True)}",
-        "vars: " + ", ".join(v.name for v in p.table.vars),
+        "vars: " + ", ".join(v["name"] for v in record["vars"]),
         "ideal:",
     ]
-    for v in p.table.vars:
-        if v.cap is not None:
-            lines.append(f"{v.name}^{v.cap}")
-    for r in p.relations:
-        lines.append(str(r))
+    for v in record["vars"]:
+        if v["cap"] is not None:
+            lines.append(f"{v['name']}^{v['cap']}")
+    lines.extend(record["relations"])
     return "\n".join(lines) + "\n"
 
 
@@ -258,15 +258,16 @@ def cmd_present(args) -> int:
         presentation = chow_presentation(job.geom, job.family)
     config = job.config_dict()
     config["presentation"] = "simplified" if args.fm else "full"
-    dump = f"# config: {json.dumps(config, sort_keys=True)}\n" + presentation.dump()
-    mirror = {"config": config, **presentation.to_json_dict()}
+    record = presentation.to_json_dict()  # canonicalized and printed once
+    dump = f"# config: {json.dumps(config, sort_keys=True)}\n" + format_dump(record)
+    mirror = {"config": config, **record}
     out = args.out
     _write_atomic(os.path.join(out, "presentation.txt"), dump)
     _write_atomic(os.path.join(out, "presentation.json"), _json_text(mirror))
     if args.export_cas:
         _write_atomic(
             os.path.join(out, "presentation.cas.txt"),
-            _cas_export(presentation, config),
+            _cas_export(record, config),
         )
     print(
         f"wrote presentation with {len(presentation.table)} variables and "

@@ -660,18 +660,11 @@ class Presentation:
 
     def dump(self) -> str:
         """Canonical plain-text form (identical bytes across runs)."""
-        p = self.canonical_var_order()
-        lines = ["vars:"]
-        for v in p.table.vars:
-            cap = f" cap {v.cap}" if v.cap is not None else ""
-            lines.append(f"{v.name} deg {v.degree}{cap}")
-        lines.append(f"top-degree: {p.top_degree}")
-        lines.append("rel:")
-        for r in p.relations:
-            lines.append(str(r))
-        return "\n".join(lines) + "\n"
+        return format_dump(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
+        """The canonical form as plain data: `canonical_var_order`'s
+        variables and relations, each relation printed once."""
         p = self.canonical_var_order()
         return {
             "vars": [
@@ -687,3 +680,13 @@ class Presentation:
             f"Presentation({len(self.table)} vars, "
             f"{len(self.relations)} relations, top degree {self.top_degree})"
         )
+
+
+def format_dump(record: dict) -> str:
+    """The plain-text form of a `Presentation.to_json_dict` record."""
+    lines = ["vars:"]
+    for v in record["vars"]:
+        cap = f" cap {v['cap']}" if v["cap"] is not None else ""
+        lines.append(f"{v['name']} deg {v['degree']}{cap}")
+    lines += [f"top-degree: {record['top_degree']}", "rel:", *record["relations"]]
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,8 @@ is a monomial order: the fields never carry, so m < m' gives q*m < q*m'.  A
 ring refuses a top degree over the table's exponent bound, so every
 exponent of a monomial of degree at most the top lies below the guard bit
 of its field.  Then one subtraction tests a divisor (`VarTable.divides`)
-and gives the field-wise maximum that an lcm takes.
+and gives the field-wise maximum that an lcm takes, or the minimum that a
+gcd takes.
 
 The relation ideal I is generated by the relations and, for each capped
 variable x, by its vanishing power x^cap, a relation of one term.  Every
@@ -30,10 +31,15 @@ k.  Each nonzero remainder, made primitive with a positive lead, joins G.
 A remainder's leading monomial (LM) is divisible by no LM of G, so no LM
 of G divides another.  A new element h is paired with every element whose
 LM shares a variable with LM(h): a pair of coprime LMs has an S-polynomial
-that reduces to zero (Buchberger's first criterion).  A pair whose lcm has
-degree above the top is dropped.  A pair (g1, g2) of lcm l is skipped when
-the LM of a third element g divides l and neither (g1, g) nor (g, g2) is
-pending: the lcm of each is a proper divisor of l, so it has lower degree
+that reduces to zero (Buchberger's first criterion).  Nor is h paired with
+an element g when the gcd c of LM(g) and LM(h) divides the content of both,
+the field-wise minimum of their monomials: then g = c*f and h = c*f' with
+coprime LMs, and S(g, h) = c*S(f, f') has c times the standard
+representation of S(f, f') over f and f' (the first criterion is the case
+c = 1).  A pair whose lcm has degree above the top is dropped.  A pair
+(g1, g2) of lcm l is skipped when the LM of a third element g divides l
+and neither (g1, g) nor (g, g2) is pending, a pair never made counting as
+treated: the lcm of each is a proper divisor of l, so it has lower degree
 and was treated before, or it is l and the pair was treated before in
 this degree (Buchberger's second criterion, as the improved algorithm of
 Cox, Little and O'Shea, ch. 2 section 10, applies it; Gebauer and Moeller,
@@ -180,9 +186,10 @@ class GradedRing:
         # field of the lead's largest variable and, for the pairs, by the
         # field of each variable the lead holds
         self._elements = []
+        self._contents = []  # of each element, see `_add`
         self._by_last = {}
         self._holding = {}
-        self._found = {}  # monomial -> the index `_divisor` gave it, see `_reduce`
+        self._found = {}  # monomial -> the element `_divisor` gave it, see `_reduce`
 
     def spans(self, degrees, monomial_cap: int = None):
         """Raise SizeCapError at the first of `degrees` with more monomials,
@@ -204,22 +211,23 @@ class GradedRing:
         degree, once the basis is built, on first use."""
         p = self.presentation
         w, top = self.width, p.top_degree
+        field = (1 << w) - 1
         relations = {}  # degree -> packed terms, each cap first
         for i, cap in enumerate(p.table.caps()):
             if cap is not None and cap <= top:
                 relations.setdefault(cap, []).append({cap << (i * w): 1})
-        for r in p.relations:
-            if (d := r.homogeneous_degree()) <= top:
+        for r in p.relations:  # homogeneous: the degree of the first term
+            if (d := next(iter(r.packed)) % field) <= top:
                 relations.setdefault(d, []).append(r.packed)
-        pairs = {}  # lcm degree -> (lcm, i, j) of each pending pair
+        pairs = {}  # lcm degree -> (lcm, g, h) of each pending pair, LM g < LM h
         leads = {}
         for k in range(top + 1):
             todo = pairs.pop(k, [])
-            pending = {(i, j) for _, i, j in todo}
-            for lcm, i, j in todo:
-                pending.remove((i, j))
-                if not self._chained(lcm, i, j, pending):
-                    self._add(self._reduce(self._s_polynomial(lcm, i, j)), k, pairs, leads)
+            pending = {(g[0], h[0]) for _, g, h in todo}
+            for lcm, g, h in todo:
+                pending.remove((g[0], h[0]))
+                if not self._chained(lcm, g[0], h[0], pending):
+                    self._add(self._reduce(self._s_polynomial(lcm, g, h)), k, pairs, leads)
             for terms in relations.get(k, ()):
                 self._add(self._reduce(dict(terms)), k, pairs, leads)
         return leads
@@ -228,15 +236,23 @@ class GradedRing:
         """Put a nonzero remainder of degree k in the basis, primitive with
         a positive lead, and pair it with every element whose leading
         monomial shares a variable with its own, where their lcm has degree
-        at most the top."""
+        at most the top and the gcd c of the two leads does not divide both
+        elements' contents: if it does, their S-polynomial is c times that
+        of two elements with coprime leads, whose standard representation
+        times c is one of it (see the module docstring)."""
         if not terms:
             return
         items = list(terms.items())  # descending, as `_reduce` found them
         if items[0][1] < 0:
             items = [(m, -c) for m, c in items]
         (lead, a), tail = items[0], tuple(items[1:])
-        w, top = self.width, self.presentation.top_degree
+        w, top, guard = self.width, self.presentation.top_degree, self.presentation.table._guard
         field = (1 << w) - 1
+        content = lead  # the field-wise minimum of the monomials
+        for m, _ in tail:
+            over = ((((content | guard) - m) & guard) >> (w - 1)) * field
+            content = (m & over) | (content & ~over)
+        new = (lead, a, tail)
         h = len(self._elements)
         partners = set()
         rest = lead
@@ -247,74 +263,76 @@ class GradedRing:
             partners.update(holders)
             holders.append(h)
         for i in sorted(partners):
-            lcm = self._lcm(self._elements[i][0], lead)
-            if (d := lcm % field) <= top:
-                pairs.setdefault(d, []).append((lcm, i, h))
-        self._elements.append((lead, a, tail))
-        self._by_last.setdefault((lead.bit_length() - 1) // w * w, []).append((lead, h))
+            old = self._elements[i]
+            # fields where the old lead's exponent is at least the new one's
+            over = ((((old[0] | guard) - lead) & guard) >> (w - 1)) * field
+            lcm = (old[0] & over) | (lead & ~over)
+            common = (lead & over) | (old[0] & ~over)
+            if (d := lcm % field) <= top and (
+                ((content | guard) - common) & guard != guard
+                or ((self._contents[i] | guard) - common) & guard != guard
+            ):
+                pairs.setdefault(d, []).append((lcm, old, new) if old[0] < lead else (lcm, new, old))
+        self._elements.append(new)
+        self._contents.append(content)
+        self._by_last.setdefault((lead.bit_length() - 1) // w * w, []).append(new)
         self._found.pop(lead, None)  # the only "none" answer the new lead changes
         leads.setdefault(k, set()).add(lead)
 
-    def _lcm(self, a: int, b: int) -> int:
-        """The field-wise maximum of two packed monomials: with every guard
-        bit set in a, a - b keeps the guard bits of the fields where a's
-        exponent is at least b's."""
-        w, guard = self.width, self.presentation.table._guard
-        wider = ((((a | guard) - b) & guard) >> (w - 1)) * ((1 << w) - 1)
-        return (a & wider) | (b & ~wider)
-
-    def _chained(self, lcm: int, i: int, j: int, pending: set) -> bool:
+    def _chained(self, lcm: int, first: int, second: int, pending: set) -> bool:
         """Whether the leading monomial of a third element t divides the
-        lcm of pair (i, j), and neither (i, t) nor (t, j) is pending: each
-        has an lcm that is a proper divisor of it, or was treated before in
-        this degree (see the module docstring)."""
+        lcm of the pair of leads (first, second), and neither pair of t
+        with one of them is pending: each has an lcm that is a proper
+        divisor of it, or was treated before in this degree (see the module
+        docstring)."""
         w, guard = self.width, self.presentation.table._guard
         field = (1 << w) - 1
-        first, second = self._elements[i][0], self._elements[j][0]
         rest = lcm
         while rest:
             shift = ((rest & -rest).bit_length() - 1) // w * w
             rest &= ~(field << shift)
-            for lead, t in self._by_last.get(shift, ()):
-                if (
-                    t != i
-                    and t != j
-                    and ((lcm | guard) - lead) & guard == guard
-                    and (self._lcm(first, lead) != lcm or (min(i, t), max(i, t)) not in pending)
-                    and (self._lcm(second, lead) != lcm or (min(j, t), max(j, t)) not in pending)
-                ):
+            for t in self._by_last.get(shift, ()):
+                lead = t[0]
+                if lead == first or lead == second or ((lcm | guard) - lead) & guard != guard:
+                    continue
+                for other in (first, second):  # is a pair of t with first or second pending?
+                    over = ((((other | guard) - lead) & guard) >> (w - 1)) * field
+                    if (other & over) | (lead & ~over) == lcm and (min(other, lead), max(other, lead)) in pending:
+                        break
+                else:
                     return True
         return False
 
-    def _s_polynomial(self, lcm: int, i: int, j: int) -> dict:
-        """(a_j/g)*(lcm/LM g_i)*g_i - (a_i/g)*(lcm/LM g_j)*g_j for leads
-        a_i, a_j and g = gcd(a_i, a_j), less the cancelled lcm term."""
-        (lead_i, a_i, tail_i), (lead_j, a_j, tail_j) = self._elements[i], self._elements[j]
-        g = gcd(a_i, a_j)
-        b_i, b_j = a_j // g, a_i // g
-        shift = lcm - lead_i
-        terms = {m + shift: b_i * c for m, c in tail_i}
-        shift = lcm - lead_j
-        for m, c in tail_j:
+    def _s_polynomial(self, lcm: int, g: tuple, h: tuple) -> dict:
+        """(a_h/d)*(lcm/LM g)*g - (a_g/d)*(lcm/LM h)*h for elements g and h
+        of leads a_g, a_h and d = gcd(a_g, a_h), less the cancelled lcm
+        term."""
+        (lead_g, a_g, tail_g), (lead_h, a_h, tail_h) = g, h
+        d = gcd(a_g, a_h)
+        b_g, b_h = a_h // d, a_g // d
+        shift = lcm - lead_g
+        terms = {m + shift: b_g * c for m, c in tail_g}
+        shift = lcm - lead_h
+        for m, c in tail_h:
             m += shift
-            terms[m] = terms.get(m, 0) - b_j * c
+            terms[m] = terms.get(m, 0) - b_h * c
         return terms
 
     def _divisor(self, u: int):
-        """The index of an element whose leading monomial divides u, or
-        None: the first one found among the leads whose largest variable u
-        holds, its fields from the lowest up."""
+        """An element whose leading monomial divides u, or None: the first
+        one found among the leads whose largest variable u holds, its
+        fields from the lowest up."""
         w, guard = self.width, self.presentation.table._guard
         field = (1 << w) - 1
-        for _, i in self._by_last.get(-w, ()):  # a constant's, which divides every monomial
-            return i
+        for g in self._by_last.get(-w, ()):  # a constant, which divides every monomial
+            return g
         rest = u
         while rest:
             shift = ((rest & -rest).bit_length() - 1) // w * w
             rest &= ~(field << shift)
-            for lead, i in self._by_last.get(shift, ()):
-                if ((u | guard) - lead) & guard == guard:
-                    return i
+            for g in self._by_last.get(shift, ()):
+                if ((u | guard) - g[0]) & guard == guard:
+                    return g
         return None
 
     def _reduce(self, f: dict) -> dict:
@@ -328,7 +346,7 @@ class GradedRing:
         answers can change only when a new leading monomial equals the
         monomial: every monomial divided while the basis grows has the
         degree being built, that of every new lead."""
-        found, divisor, elements = self._found, self._divisor, self._elements
+        found, divisor = self._found, self._divisor
         heap = [-m for m in f]
         heapify(heap)
         out = {}
@@ -337,13 +355,13 @@ class GradedRing:
             b = f.pop(u)
             if not b:
                 continue
-            g = found.get(u, -1)
-            if g == -1:
+            g = found.get(u, False)
+            if g is False:
                 g = found[u] = divisor(u)
             if g is None:
                 out[u] = b
                 continue
-            lead, a, tail = elements[g]
+            lead, a, tail = g
             if a != 1:
                 d = gcd(a, b)
                 a //= d

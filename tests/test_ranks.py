@@ -1052,6 +1052,92 @@ class TestBinomialRules:
         assert graded_ranks(p) == dense_quotient_ranks(p)
 
 
+@st.composite
+def factored_presentations(draw):
+    """Presentations in 2-4 variables of top degree 2-4 whose relations are
+    one to four products w*f of a monomial w of degree 1-2 and a form f of
+    degree 1-2 with one to three terms, and at times a killer.  The factors
+    w share variables, so the gcd of two leads often divides both
+    elements' contents, and of the remainders' too.  No cap is 1."""
+    top = draw(st.sampled_from((2, 3, 4)))
+    nvars = draw(st.integers(2, 4))
+    caps = draw(st.lists(st.none() | st.integers(2, top + 1), min_size=nvars, max_size=nvars))
+    table = VarTable(tuple(Var(f"x{i}", 1, cap) for i, cap in enumerate(caps)))
+    coefficient = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    relations = [
+        Poly.monomial(table, draw_monomial(draw, nvars, draw(st.integers(2, top))))
+        for _ in range(draw(st.integers(0, 1)))
+    ]
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw_monomial(draw, nvars, draw(st.integers(1, min(2, top - 1))))
+        degree = draw(st.integers(1, min(2, top - sum(w))))
+        terms = {draw_monomial(draw, nvars, degree): draw(coefficient) for _ in range(draw(st.integers(1, 3)))}
+        relations.append(Poly.monomial(table, w) * Poly(table, terms))
+    return Presentation(table, relations, top)
+
+
+class TestCommonFactorCriterion:
+    """A pair whose leads' gcd g divides both elements is never reduced:
+    its S-polynomial is g times that of two elements with coprime leads."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        s_polynomial = GradedRing._s_polynomial
+
+        def counting(ring, *args):
+            calls.append(args[0])
+            return s_polynomial(ring, *args)
+
+        monkeypatch.setattr(GradedRing, "_s_polynomial", counting)
+        return calls
+
+    @settings(deadline=None, max_examples=150)
+    @given(factored_presentations())
+    def test_graded_ranks_match_dense_reference(self, p):
+        assert graded_ranks(p) == dense_quotient_ranks(p)
+
+    @pytest.mark.parametrize("order", ["divisible first", "divisible second"])
+    def test_a_gcd_dividing_one_content_only_keeps_the_pair(self, monkeypatch, order):
+        # z*(x - a) and z*y - b^2 (or with x and y swapped, so that the
+        # element z divides has the larger lead and joins the basis second):
+        # their leads' gcd z divides the first only, and their S-polynomial
+        # reduces to b^2*(x - a), a new element of degree 3.  Skipping the
+        # pair would leave b^2*x standard and read 26 at degree 3
+        table = VarTable(tuple(Var(name) for name in "abxyz"))
+        a, b, x, y, z = (Poly.variable(table, name) for name in "abxyz")
+        if order == "divisible second":
+            x, y = y, x
+        divisible, other = z * (x - a), z * y - b * b
+        p = Presentation(table, [divisible, other], 3)
+        calls = self.counted(monkeypatch)
+        basis = GradedRing(p).basis
+        assert calls == [max((x * y * z).packed)]
+        assert basis[0] == (divisible if order == "divisible first" else other)
+        assert basis[2] == b * b * (x - a)
+        assert graded_ranks(p) == dense_quotient_ranks(p) == [1, 5, 13, 25]
+
+    def test_a_gcd_dividing_both_contents_skips_the_pair(self, monkeypatch):
+        # z*(x - a) and z*(y - b): the gcd z of the leads z*x and z*y divides
+        # both, and no S-polynomial is reduced
+        table = VarTable(tuple(Var(name) for name in "abxyz"))
+        a, b, x, y, z = (Poly.variable(table, name) for name in "abxyz")
+        p = Presentation(table, [z * (x - a), z * (y - b)], 3)
+        calls = self.counted(monkeypatch)
+        assert GradedRing(p).basis == p.relations
+        assert calls == []
+        assert graded_ranks(p) == dense_quotient_ranks(p)
+
+    @pytest.mark.parametrize("dim, n, count", [(1, 5, 468), (2, 4, 255)])
+    def test_s_polynomials_reduced_at_all_large(self, monkeypatch, dim, n, count):
+        # 2,054 and 654 with the coprime criterion alone; `BASIS_GOLDEN`
+        # pins the same basis
+        p = chow_presentation(ProjectiveGeometry(dim, n), LargeFamily.all_subsets(n))
+        calls = self.counted(monkeypatch)
+        GradedRing(p).basis
+        assert len(calls) == count
+
+
 class TestStandardMonomials:
     @settings(deadline=None, max_examples=100)
     @given(
