@@ -73,7 +73,7 @@ from fmchow.verify import (
 __version__ = "0.1.0"
 
 #: name of the elimination kernel, kept for run records; there is one,
-#: the pure-Python `fmchow.ranks.Echelon`
+#: the pure-Python division loop `fmchow.ranks.GradedRing._reduce`
 elimination_backend = "python"
 
 __all__ = [

@@ -379,24 +379,24 @@ class Poly:
 
     # -- canonical form ----------------------------------------------------
 
-    def sorted_terms(self) -> list:
-        """(exponent tuple, coefficient) terms in canonical (printing) order."""
-        unpack = self.table.unpack
-        return [(unpack(m), c) for m, c in sorted(self.packed.items(), reverse=True)]
-
     def sign_normalized(self) -> "Poly":
         """Same polynomial up to sign, with positive leading coefficient."""
         if self.packed and self.packed[max(self.packed)] < 0:
             return -self
         return self
 
-    def _term_str(self, exps, coeff, leading: bool) -> str:
+    def _term_str(self, m: int, coeff, leading: bool) -> str:
+        """One term of packed monomial m, its factors in variable order:
+        only the set fields of m are visited, from the lowest up."""
+        names, w = self.table._names, FIELD_BITS
+        field = (1 << w) - 1
         factors = []
-        for var, e in zip(self.table.vars, exps):
-            if e == 1:
-                factors.append(var.name)
-            elif e > 1:
-                factors.append(f"{var.name}^{e}")
+        rest = m
+        while rest:
+            i = ((rest & -rest).bit_length() - 1) // w
+            e = (rest >> (i * w)) & field
+            rest &= ~(field << (i * w))
+            factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
         mag = abs(coeff)
         if not factors:
             body = str(mag)
@@ -409,11 +409,11 @@ class Poly:
         return (" + " if coeff > 0 else " - ") + body
 
     def __str__(self):
-        terms = self.sorted_terms()
-        if not terms:
+        if not self.packed:
             return "0"
+        terms = sorted(self.packed.items(), reverse=True)  # canonical (printing) order
         return "".join(
-            self._term_str(e, c, leading=(i == 0)) for i, (e, c) in enumerate(terms)
+            self._term_str(m, c, leading=(i == 0)) for i, (m, c) in enumerate(terms)
         )
 
     def __repr__(self):

@@ -76,9 +76,16 @@ standard of the complementary degree, span the image of the generators'
 ideal in the quotient, and a form lies in I + <gens> iff its NF lies in
 their span.
 
-A slice's columns run from its largest standard monomial down, so the
-echelon pivots a row on its leading monomial.  Nothing above depends on the
-column order: a zero row means the same under any order.
+An `Echelon`'s rows have the form of the elements of G: a remainder, made
+primitive with a positive lead and kept under its LM, which is standard.
+The one division loop divides by both: a monomial that an LM of G divides
+by that element, and a standard monomial that leads a row by that row.  A
+row's other monomials are standard and below its lead, so the terms are
+still met in descending order, and the remainder of f is NF(f) less a
+combination of the rows, up to a positive rational factor, in which no
+monomial leads a row.  The rows have distinct LMs, so every nonzero form
+in their span leads with one of them: the remainder is zero iff NF(f) lies
+in the span, and otherwise it adds one to the rank.
 
 The oracle (`rank_oracle`) never touches polynomials: it walks the large
 family superset-first and applies the additive rank decomposition of a
@@ -94,7 +101,6 @@ from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from fmchow._elim import Echelon
 from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
 from fmchow.polyalg import Poly, Presentation
 from fmchow.setcomb import LargeFamily, canonical_walk, merge_family
@@ -242,17 +248,13 @@ class GradedRing:
         times c is one of it (see the module docstring)."""
         if not terms:
             return
-        items = list(terms.items())  # descending, as `_reduce` found them
-        if items[0][1] < 0:
-            items = [(m, -c) for m, c in items]
-        (lead, a), tail = items[0], tuple(items[1:])
+        new = lead, a, tail = _element(terms)
         w, top, guard = self.width, self.presentation.top_degree, self.presentation.table._guard
         field = (1 << w) - 1
         content = lead  # the field-wise minimum of the monomials
         for m, _ in tail:
             over = ((((content | guard) - m) & guard) >> (w - 1)) * field
             content = (m & over) | (content & ~over)
-        new = (lead, a, tail)
         h = len(self._elements)
         partners = set()
         rest = lead
@@ -335,12 +337,16 @@ class GradedRing:
                     return g
         return None
 
-    def _reduce(self, f: dict) -> dict:
+    def _reduce(self, f: dict, rows: dict = None) -> dict:
         """The remainder of packed terms f (monomial -> coefficient, all of
         one degree; taken over and changed) under division by the basis
         found so far, fraction-free (see the module docstring): the terms
         are visited in descending order from a heap, and the standard ones
-        come back in that order, divided by their content.
+        come back in that order, divided by their content.  A standard
+        monomial that leads one of `rows` (lead -> element, as the basis
+        holds them: a slice's `Echelon`) is divided by that row as by an
+        element; a row holds only standard monomials below its lead, so the
+        heap still meets every monomial after those above it.
 
         The divisor found for each monomial is kept in a memo.  Its "none"
         answers can change only when a new leading monomial equals the
@@ -358,7 +364,7 @@ class GradedRing:
             g = found.get(u, False)
             if g is False:
                 g = found[u] = divisor(u)
-            if g is None:
+            if g is None and (not rows or (g := rows.get(u)) is None):
                 out[u] = b
                 continue
             lead, a, tail = g
@@ -401,16 +407,13 @@ class GradedRing:
         division by the basis.  It is zero iff the polynomial lies in the
         relation ideal.  Raises StructureError for a polynomial over another
         table, whose packed fields would be read as the wrong variables."""
-        return Poly._of(self.presentation.table, self._normal_terms(poly))
+        self._check_table(poly)
+        self._leads
+        return Poly._of(self.presentation.table, self._reduce(dict(poly.packed)))
 
     def _check_table(self, poly: Poly):
         if poly.table != self.presentation.table:
             raise StructureError("polynomial over a different variable table than the presentation")
-
-    def _normal_terms(self, poly: Poly) -> dict:
-        self._check_table(poly)
-        self._leads
-        return self._reduce(dict(poly.packed))
 
     def live(self, d: int) -> dict:
         """The standard degree-d monomials (see the module docstring),
@@ -430,14 +433,58 @@ class GradedRing:
         return layers[d]
 
 
+def _element(terms: dict) -> tuple:
+    """(lead, a, tail) of a nonzero primitive remainder of `_reduce`, its
+    terms descending: the leading monomial, its coefficient a > 0 and the
+    other terms, the sign flipped where the lead was negative.  The form of
+    the basis's elements and of an `Echelon`'s rows."""
+    items = list(terms.items())
+    if items[0][1] < 0:
+        items = [(m, -c) for m, c in items]
+    (lead, a), tail = items[0], tuple(items[1:])
+    return lead, a, tail
+
+
+class Echelon:
+    """The rows of a degree slice in echelon form over its `ncols`
+    standard monomials: each row is a remainder of the ring's division,
+    kept under its leading monomial as `_element` makes it, primitive with
+    a positive lead.  A form is reduced by the basis and by these rows in
+    one pass of `GradedRing._reduce`; a row is stored as found and never
+    reduced again by a later one.  Every step multiplies by a positive
+    rational, so the span and the rank are exact over the rationals."""
+
+    def __init__(self, ncols: int, ring: GradedRing):
+        self.ncols = ncols
+        self.ring = ring
+        self.rank = 0
+        self.rows = {}
+
+    def insert(self, terms: dict) -> bool:
+        """Add the packed terms (taken over and changed) to the span; True
+        iff they increased the rank."""
+        terms = self.ring._reduce(terms, self.rows)
+        if not terms:
+            return False
+        row = _element(terms)
+        self.rows[row[0]] = row
+        self.rank += 1
+        return True
+
+    def contains(self, terms: dict) -> bool:
+        """True iff the packed terms (taken over and changed) lie in the
+        relation ideal plus the rational span of the rows."""
+        return not self.ring._reduce(terms, self.rows)
+
+
 class DegreeSpan:
     """The degree-k slice of a presented ring: its columns are the ring's
-    standard monomials of degree k, largest first, and an incremental
-    echelon form holds the normal forms of what is inserted: extra
-    generators (ideal generators) at every standard shift, and single rows
-    (mapped classes); its `GradedRing` owns the basis.  The relation span
-    holds every non-standard monomial, so it is counted, not built.  Ranks
-    always refer to the full column space.
+    standard monomials of degree k, and an `Echelon` holds the remainders
+    of what is inserted: extra generators (ideal generators) at every
+    standard shift, and single rows (mapped classes); its `GradedRing`
+    owns the basis.  The relation span holds every non-standard monomial,
+    so it is counted, not built.  Ranks always refer to the full column
+    space.
     """
 
     def __init__(self, ring: GradedRing, k: int):
@@ -446,46 +493,38 @@ class DegreeSpan:
         self.degree = k
         _check_degree(ring.presentation, k)
         standard = ring.live(k)
-        # descending: column 0 is the largest standard monomial
-        self._index = {m: i for i, m in enumerate(reversed(standard))}
         self._relation_rank = ring.counts[k] - len(standard)
-        self._ech = Echelon(len(standard))
+        self._ech = Echelon(len(standard), ring)
 
     @property
     def alive_monomials(self) -> tuple:
         """The ring's standard degree-k monomials, in ascending canonical
-        order: the columns of the echelon, last first."""
-        return tuple(map(self.presentation.table.unpack, reversed(self._index)))
+        order: the columns of the echelon."""
+        return tuple(map(self.presentation.table.unpack, self.ring.live(self.degree)))
 
     @property
     def standard_monomials(self) -> tuple:
-        """The columns with no pivot, in ascending canonical order: the
+        """The columns that lead no row, in ascending canonical order: the
         degree-k monomials that lead no element of the span of the relations
         and of what was inserted.  There are `quotient_rank()` of them in a
         relation span, and as many as the full count less `span_rank()`
         after further inserts."""
-        pivots = self._ech.pivot_columns
-        index = self._index
+        rows = self._ech.rows
         unpack = self.presentation.table.unpack
-        return tuple(unpack(m) for m in reversed(index) if index[m] not in pivots)
+        return tuple(unpack(m) for m in self.ring.live(self.degree) if m not in rows)
 
-    def _row(self, terms: dict):
-        """Parallel (cols, coeffs) lists of a remainder of the ring's
-        division: its terms descend, so its columns ascend."""
-        index = self._index
-        return [index[m] for m in terms], list(terms.values())
-
-    def vector(self, poly: Poly):
+    def _terms(self, poly: Poly) -> dict:
+        """A new dict of the packed terms of a form of the slice's degree."""
         if not poly.is_zero() and poly.homogeneous_degree() != self.degree:
             raise DegreeError(
                 f"expected a homogeneous polynomial of degree {self.degree}"
             )
-        return self._row(self.ring._normal_terms(poly))
+        self.ring._check_table(poly)
+        return dict(poly.packed)
 
     def insert_products(self, gens) -> int:
-        """Insert the normal form of s*g for each generator g and each
-        standard monomial s of the complementary degree; returns the rank
-        gain."""
+        """Insert s*g for each generator g and each standard monomial s of
+        the complementary degree; returns the rank gain."""
         before = self._ech.rank
         ring, insert = self.ring, self._ech.insert
         for g in gens:
@@ -493,15 +532,14 @@ class DegreeSpan:
                 continue
             ring._check_table(g)
             for s in ring.live(self.degree - d):
-                insert(*self._row(ring._reduce({m + s: c for m, c in g.packed.items()})))
+                insert({m + s: c for m, c in g.packed.items()})
         return self._ech.rank - before
 
     def insert(self, poly: Poly) -> bool:
-        return self._ech.insert(*self.vector(poly))
+        return self._ech.insert(self._terms(poly))
 
     def reduces_to_zero(self, poly: Poly) -> bool:
-        cols, coeffs = self.vector(poly)
-        return self._ech.contains(cols, coeffs)
+        return self._ech.contains(self._terms(poly))
 
     def span_rank(self) -> int:
         """Rank of everything inserted so far (relations included)."""
@@ -512,7 +550,7 @@ class DegreeSpan:
         return self._relation_rank
 
     def quotient_rank(self) -> int:
-        return len(self._index)
+        return self._ech.ncols
 
 
 def graded_ranks(p: Presentation, monomial_cap: int = None) -> RankTable:

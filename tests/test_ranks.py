@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmchow.ranks
-from fmchow._elim import Echelon
 from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
 from fmchow.geomdata import ProjectiveGeometry
 from fmchow.polyalg import (
@@ -26,6 +25,7 @@ from fmchow.polyalg import (
 from fmchow.present import blowup_step, chow_presentation, iterated_presentation
 from fmchow.ranks import (
     DegreeSpan,
+    Echelon,
     GradedRing,
     _live_layer,
     _monomial_counts,
@@ -96,20 +96,22 @@ def dense_rank(rows, ncols):
 
 
 class MergeEchelon:
-    """Reference kernel: each step merges the whole working row with the
-    pivot, a*row - b*pivot for pivot lead a and row lead b, into new lists
-    and divides the result by its content."""
+    """Reference kernel: every column of the working row that has a pivot
+    is eliminated, first column first; each step merges the whole row with
+    the pivot, a*row - b*pivot for pivot lead a and row coefficient b, into
+    new lists and divides the result by its content."""
 
     def __init__(self):
         self.rank = 0
         self._pivots = {}
 
     def reduce(self, cols, coeffs):
-        while cols and cols[0] in self._pivots:
-            pcols, pcoeffs = self._pivots[cols[0]]
+        while (col := next((c for c in cols if c in self._pivots), None)) is not None:
+            pcols, pcoeffs = self._pivots[col]
+            b = coeffs[cols.index(col)]
             merged = {c: pcoeffs[0] * v for c, v in zip(cols, coeffs)}
             for c, v in zip(pcols, pcoeffs):
-                merged[c] = merged.get(c, 0) - coeffs[0] * v
+                merged[c] = merged.get(c, 0) - b * v
             cols = sorted(c for c, v in merged.items() if v)
             g = gcd(*(merged[c] for c in cols))
             coeffs = [merged[c] // g for c in cols]
@@ -126,6 +128,37 @@ class MergeEchelon:
 
     def contains(self, cols, coeffs):
         return not self.reduce(list(cols), list(coeffs))[0]
+
+
+class ColumnEchelon:
+    """An `Echelon` over a ring of `ncols` free variables with no
+    relations, read by columns: column c is the variable of field
+    ncols-1-c, so the first column leads."""
+
+    def __init__(self, ncols):
+        table = VarTable(tuple(Var(f"x{i}") for i in range(ncols)))
+        self.ncols, self.width = ncols, table.width
+        self.ech = Echelon(ncols, GradedRing(Presentation(table, (), 1)))
+
+    def _terms(self, row):
+        return {1 << ((self.ncols - 1 - c) * self.width): v for c, v in row.items()}
+
+    def _col(self, m):
+        return self.ncols - 1 - (m.bit_length() - 1) // self.width
+
+    def insert(self, row):
+        return self.ech.insert(self._terms(row))
+
+    def contains(self, row):
+        return self.ech.contains(self._terms(row))
+
+    def pivots(self):
+        """The stored rows as {lead column: (columns, coefficients)}."""
+        out = {}
+        for lead, a, tail in self.ech.rows.values():
+            terms = ((lead, a),) + tail
+            out[self._col(lead)] = ([self._col(m) for m, _ in terms], [c for _, c in terms])
+        return out
 
 
 def random_kernel_rows(rng, ncols):
@@ -154,18 +187,15 @@ class TestEliminationKernels:
         rng = random.Random(20261018)
         for trial in range(150):
             ncols = rng.randint(4, 30)
-            ech, ref = Echelon(ncols), MergeEchelon()
+            ech, ref = ColumnEchelon(ncols), MergeEchelon()
             for row in random_kernel_rows(rng, ncols):
                 cols = sorted(row)
                 coeffs = [row[c] for c in cols]
-                kept = (list(cols), list(coeffs))
-                assert ech.contains(cols, coeffs) == ref.contains(cols, coeffs)
-                assert ech.insert(cols, coeffs) == ref.insert(cols, coeffs)
-                assert (cols, coeffs) == kept  # the caller's lists are left as they were
-                assert ech._pivots == ref._pivots
-                assert ech.rank == ref.rank
-                assert ech.contains(cols, coeffs)
-                assert all(pcols is not cols and pc is not coeffs for pcols, pc in ech._pivots.values())
+                assert ech.contains(row) == ref.contains(cols, coeffs)
+                assert ech.insert(row) == ref.insert(cols, coeffs)
+                assert ech.pivots() == ref._pivots
+                assert ech.ech.rank == ref.rank
+                assert ech.contains(row)
 
     def test_rank_matches_dense_oracle(self):
         rng = random.Random(20240811)
@@ -179,30 +209,23 @@ class TestEliminationKernels:
                     for c in rng.sample(range(ncols), rng.randint(0, ncols))
                 }
                 rows.append({c: v for c, v in row.items() if v})
-            ech = Echelon(ncols)
-            got = 0
-            for row in rows:
-                cols = sorted(row)
-                got += ech.insert(cols, [row[c] for c in cols])
-            assert got == ech.rank == dense_rank(rows, ncols)
+            ech = ColumnEchelon(ncols)
+            got = sum(ech.insert(row) for row in rows)
+            assert got == ech.ech.rank == dense_rank(rows, ncols)
 
     def test_contains_agrees_with_rank_growth(self):
         rng = random.Random(7)
         for trial in range(20):
             ncols = rng.randint(1, 8)
-            ech = Echelon(ncols)
-            history = []
+            ech = ColumnEchelon(ncols)
             for _ in range(10):
                 row = {c: rng.randint(-3, 3) for c in range(ncols)}
                 row = {c: v for c, v in row.items() if v}
                 if not row:
                     continue
-                cols = sorted(row)
-                coeffs = [row[c] for c in cols]
-                member = ech.contains(cols, coeffs)
-                grew = ech.insert(cols, coeffs)
+                member = ech.contains(row)
+                grew = ech.insert(row)
                 assert member == (not grew)
-                history.append(row)
 
 
 class TestMonomials:
@@ -276,7 +299,7 @@ class TestGradedRanks:
         g = ProjectiveGeometry(1, 5)
         p = chow_presentation(g, LargeFamily.all_subsets(5))
 
-        def no_echelon(ncols):
+        def no_echelon(*args):
             raise AssertionError("a degree span was built before the cap refusal")
 
         monkeypatch.setattr(fmchow.ranks, "Echelon", no_echelon)
@@ -668,8 +691,15 @@ class TestMembership:
         p = Presentation(VarTable((x, y)), [Poly.variable(VarTable((x, y)), "x")], 2)
         swapped = VarTable((y, x))
         for name in ("x", "y"):
+            f = Poly.variable(swapped, name)
             with pytest.raises(StructureError, match="different variable table"):
-                membership(p, [], Poly.variable(swapped, name))
+                membership(p, [], f)
+            with pytest.raises(StructureError, match="different variable table"):
+                memberships(p, [f], [Poly.variable(p.table, "y")])
+            span = DegreeSpan(GradedRing(p), 1)
+            for query in (span.insert, span.reduces_to_zero):
+                with pytest.raises(StructureError, match="different variable table"):
+                    query(f)
 
 
 def draw_form(data, table, degree):
@@ -1287,7 +1317,7 @@ class TestIdealAndKernelRanks:
                 "E": Poly.variable(big.table, names[-1]),
             }
 
-        def no_echelon(ncols):
+        def no_echelon(*args):
             raise AssertionError("a degree span was built before the cap refusal")
 
         monkeypatch.setattr(fmchow.ranks, "Echelon", no_echelon)
