@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from fmchow.polyalg import ChernPoly, Poly, Var, VarTable, chern_mul, divisor_name
+from fmchow.errors import StructureError
+from fmchow.polyalg import MAX_DEGREE, ChernPoly, Poly, Var, VarTable, chern_mul, divisor_name
 from fmchow.setcomb import LargeFamily
 
 
@@ -44,6 +45,14 @@ class ProjectiveGeometry:
         return tuple((comb(self.dim + 1, ell), ell) for ell in range(self.dim + 1))
 
     def point_table(self) -> VarTable:
+        """h_1..h_n, each killed in power d+1.  Raises StructureError when
+        the top degree d*n is over the packed monomial's degree bound: the
+        ring could not be built, so no relation is built either."""
+        if self.top_degree() > MAX_DEGREE:
+            raise StructureError(
+                f"top degree {self.top_degree()} of P^{self.dim} with {self.n} points is over "
+                f"the packed monomial's degree bound {MAX_DEGREE}"
+            )
         return VarTable.for_points(self.n, self.dim)
 
     def table_for(self, large: LargeFamily) -> VarTable:

@@ -10,22 +10,24 @@ dropping zero coefficients and monomials that violate a cap -- is the only
 place terms disappear.
 
 Monomials are packed integers, one encoding from the presentation build
-to elimination.  A field of w = 16 bits per variable holds its exponent,
+to elimination.  A field of w = 8 bits per variable holds its exponent,
 variable i at bit i*w, so ascending integer order is the canonical basis
 order (`_mono_key`, later variables most significant), and the product of
 two monomials is one integer addition.  The top bit of each field is a
-guard bit.  A table of n variables bounds every exponent by its
-`max_exponent`, the largest E below 2**(w-1) with n*E < 2**w - 1, so that
-the exponent sum of a product never carries from one field into the next,
-and the degree of a monomial, every variable having degree 1, is its
-packed value modulo 2**w - 1.  The table adds one constant to a product
-monomial that sets the guard bit of exactly the fields at or over their
-cap (the exponent bound plus one for an uncapped variable), so the cap
-test is one add-and-mask: a capped field there dies, an uncapped one
-there is an exponent too large for its field and raises StructureError
-instead of wrapping.  Negative or non-integer exponents, and a table whose
-cap the field cannot hold, raise StructureError too.  `Poly.terms`, the
-exponent tuple view, is unpacked on demand.
+guard bit.  Every monomial has total degree at most MAX_DEGREE =
+2**(w-1) - 1 = 127, every variable having degree 1, so no exponent
+reaches its field's guard bit.  The exponent sum of a product of two
+monomials is at most 254 in every field, so it never carries into the next
+field, and the degree of a monomial or of such a product, at most 254, is
+its packed value modulo 2**w - 1 = 255: 2**w is 1 modulo 255, so the
+packed value is congruent to the sum of its fields.  The table adds one
+constant to a product monomial that sets the guard bit of exactly the
+capped fields at or over their cap, so the cap test is one add-and-mask,
+and a product monomial there dies.  One that survives its caps with a
+degree over MAX_DEGREE raises StructureError instead of wrapping, as does
+an exponent tuple of such a degree, a negative or non-integer exponent,
+and a table with a cap over MAX_DEGREE + 1.  `Poly.terms`, the exponent
+tuple view, is unpacked on demand.
 
 Canonical text form: terms are joined by " + " / " - " in descending
 order of the monomial key that ranks later variables (divisor variables)
@@ -42,7 +44,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 from fmchow.errors import DegreeError, StructureError
 
 #: bits per variable in a packed monomial, the top one a guard bit
-FIELD_BITS = 16
+FIELD_BITS = 8
+#: the largest total degree of a monomial, so that no exponent reaches its guard bit
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+# a field's mask, and the modulus that gives a monomial's degree
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 def divisor_name(s) -> str:
@@ -80,18 +86,18 @@ class VarTable:
             raise StructureError("duplicate variable names")
         w = FIELD_BITS
         half = 1 << (w - 1)
-        bound = min(half - 1, ((1 << w) - 2) // max(len(self.vars), 1))
-        bias = guard = overflow = 0
+        bias = guard = capped = 0
         for i, v in enumerate(self.vars):
-            if v.cap is not None and v.cap - 1 > bound:
-                raise StructureError(
-                    f"cap {v.cap} of {v.name!r} is over the packed field's exponent bound {bound}"
-                )
             bit = 1 << (i * w + w - 1)
-            bias += (half - (bound + 1 if v.cap is None else v.cap)) << (i * w)
             guard |= bit
             if v.cap is None:
-                overflow |= bit
+                continue
+            if v.cap > MAX_DEGREE + 1:
+                raise StructureError(
+                    f"cap {v.cap} of {v.name!r} is over the packed monomial's degree bound {MAX_DEGREE} plus one"
+                )
+            bias += (half - v.cap) << (i * w)
+            capped |= bit
         key = tuple((v.name, v.degree, v.cap) for v in self.vars)
         for name, value in (
             ("_index", {v.name: i for i, v in enumerate(self.vars)}),
@@ -100,10 +106,9 @@ class VarTable:
             ("_hash", hash(key)),
             ("_caps", tuple(v.cap for v in self.vars)),
             ("_shifts", tuple(range(0, len(self.vars) * w, w))),
-            ("max_exponent", bound),
             ("_bias", bias),
+            ("_capped", capped),
             ("_guard", guard),
-            ("_overflow", overflow),
         ):
             object.__setattr__(self, name, value)
 
@@ -149,11 +154,11 @@ class VarTable:
     def pack(self, exps) -> Optional[int]:
         """The packed monomial of an exponent tuple, or None when a cap
         kills it.  Raises StructureError on a tuple of the wrong length, a
-        negative or non-integer exponent, or an uncapped exponent over
-        `max_exponent`."""
+        negative or non-integer exponent, or a tuple of degree over
+        MAX_DEGREE that no cap kills."""
         if len(exps) != len(self.vars):
             raise StructureError("exponent tuple has wrong length")
-        packed = 0
+        packed = degree = 0
         dead = False
         for e, cap, shift in zip(exps, self._caps, self._shifts):
             try:
@@ -162,18 +167,19 @@ class VarTable:
                 raise StructureError(f"exponent {e!r} is not an integer") from None
             if e < 0:
                 raise StructureError(f"exponent {e} is negative")
-            if cap is None:
-                if e > self.max_exponent:
-                    raise StructureError(self._too_large())
-            elif e >= cap:
+            if cap is not None and e >= cap:
                 dead = True
+            degree += e
             packed |= e << shift
-        return None if dead else packed
+        if dead:
+            return None
+        if degree > MAX_DEGREE:
+            raise StructureError(_too_large(degree))
+        return packed
 
     def unpack(self, packed: int) -> tuple:
         """The exponent tuple of a packed monomial."""
-        mask = (1 << FIELD_BITS) - 1
-        return tuple((packed >> shift) & mask for shift in self._shifts)
+        return tuple((packed >> shift) & _FIELD for shift in self._shifts)
 
     def divides(self, d: int, packed: int) -> bool:
         """Whether the packed monomial d divides the packed monomial
@@ -181,8 +187,9 @@ class VarTable:
         packed - d keeps them all iff no exponent of d is larger."""
         return ((packed | self._guard) - d) & self._guard == self._guard
 
-    def _too_large(self) -> str:
-        return f"an uncapped exponent is over the packed field's bound {self.max_exponent}"
+
+def _too_large(degree: int) -> str:
+    return f"a monomial of degree {degree} is over the packed monomial's degree bound {MAX_DEGREE}"
 
 
 def _coefficient(c) -> int:
@@ -197,18 +204,17 @@ def _coefficient(c) -> int:
 def _mul_into(out: dict, p: dict, q: dict, table: VarTable) -> dict:
     """Add the product of the packed terms p and q into `out` and return
     it: the one multiply-accumulate loop of the module.  A product monomial
-    at or over a cap dies; one whose uncapped exponent overflows its field
-    raises StructureError."""
-    bias, guard, overflow = table._bias, table._guard, table._overflow
+    at or over a cap dies; one that survives its caps with a degree over
+    MAX_DEGREE raises StructureError."""
+    bias, capped = table._bias, table._capped
     q = q.items()
     for m1, c1 in p.items():
         for m2, c2 in q:
             m = m1 + m2
-            over = (m + bias) & guard
-            if over:
-                if over & overflow:
-                    raise StructureError(table._too_large())
+            if (m + bias) & capped:
                 continue  # monomial dies on a nilpotency cap
+            if m % _FIELD > MAX_DEGREE:
+                raise StructureError(_too_large(m % _FIELD))
             acc = out.get(m, 0) + c1 * c2
             if acc:
                 out[m] = acc
@@ -307,8 +313,7 @@ class Poly:
 
     def homogeneous_degree(self) -> Optional[int]:
         """Total degree if homogeneous (None for the zero polynomial)."""
-        modulus = (1 << FIELD_BITS) - 1
-        degrees = {m % modulus for m in self.packed}
+        degrees = {m % _FIELD for m in self.packed}
         if not degrees:
             return None
         if len(degrees) > 1:
@@ -389,13 +394,12 @@ class Poly:
         """One term of packed monomial m, its factors in variable order:
         only the set fields of m are visited, from the lowest up."""
         names, w = self.table._names, FIELD_BITS
-        field = (1 << w) - 1
         factors = []
         rest = m
         while rest:
             i = ((rest & -rest).bit_length() - 1) // w
-            e = (rest >> (i * w)) & field
-            rest &= ~(field << (i * w))
+            e = (rest >> (i * w)) & _FIELD
+            rest &= ~(_FIELD << (i * w))
             factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
         mag = abs(coeff)
         if not factors:
@@ -425,36 +429,29 @@ def transport(poly: Poly, table: VarTable, rename: Optional[Mapping] = None) -> 
     name (optionally renamed first).  Every used variable must exist in the
     target; the target's caps are applied."""
     src = poly.table
-    w = FIELD_BITS
-    mask = (1 << w) - 1
-    bias, guard = table._bias, table._guard
+    bias, capped = table._bias, table._capped
     support = 0
     for m in poly.packed:
         support |= m
-    if not rename and table._names[: len(src)] == src._names and not (support + bias) & guard:
+    if not rename and table._names[: len(src)] == src._names and not (support + bias) & capped:
         # same variables in the same fields, and no field of the support (at
-        # least that field of every term) reaches the target's cap or bound
+        # least that field of every term) reaches the target's cap
         return Poly._of(table, poly.packed)
     rename = rename or {}
     # (source shift, target shift) of the variables that actually occur
     moves = [
-        (a, table.index(rename.get(name, name)) * w)
+        (a, table.index(rename.get(name, name)) * FIELD_BITS)
         for name, a in zip(src._names, src._shifts)
-        if (support >> a) & mask
+        if (support >> a) & _FIELD
     ]
     out = {}
     for m, coeff in poly.packed.items():
-        # one variable at a time, as a product of valid monomials: renamed
-        # variables may land on one field
-        new = over = 0
+        # renamed variables may land on one field, which then holds their
+        # exponent sum: at most the monomial's degree, below the guard bit
+        new = 0
         for a, b in moves:
-            new += ((m >> a) & mask) << b
-            over = (new + bias) & guard
-            if over:
-                break
-        if over:
-            if over & table._overflow:
-                raise StructureError(table._too_large())
+            new += ((m >> a) & _FIELD) << b
+        if (new + bias) & capped:
             continue  # monomial dies on a cap of the target
         acc = out.get(new, 0) + coeff
         if acc:
@@ -605,7 +602,6 @@ class Presentation:
     def __init__(self, table: VarTable, relations: Iterable[Poly], top_degree: int):
         if top_degree < 0:
             raise ValueError("top degree must be nonnegative")
-        modulus = (1 << FIELD_BITS) - 1
         seen = {}
         for rel in relations:
             if rel.table is not table and rel.table != table:
@@ -613,9 +609,9 @@ class Presentation:
             if rel.is_zero():
                 continue
             terms = sorted(rel.packed.items(), reverse=True)
-            degree = terms[0][0] % modulus
+            degree = terms[0][0] % _FIELD
             for m, _ in terms:
-                if m % modulus != degree:
+                if m % _FIELD != degree:
                     raise DegreeError(f"polynomial is inhomogeneous: {rel}")
             if terms[0][1] < 0:
                 rel = Poly._of(table, {m: -c for m, c in terms})

@@ -13,11 +13,12 @@ Monomials are the packed integers of `Poly` (see `fmchow.polyalg`): the
 exponent of variable i sits in the field at bit i*w.  The monomial order is
 their integer order, lex with the later variables most significant, and it
 is a monomial order: the fields never carry, so m < m' gives q*m < q*m'.  A
-ring refuses a top degree over the table's exponent bound, so every
-exponent of a monomial of degree at most the top lies below the guard bit
-of its field.  Then one subtraction tests a divisor (`VarTable.divides`)
-and gives the field-wise maximum that an lcm takes, or the minimum that a
-gcd takes.
+ring refuses a top degree over the degree bound MAX_DEGREE of the packed
+monomials, so every exponent of a monomial of degree at most the top lies
+below the guard bit of its field, and the degree of an lcm of two such
+monomials, at most twice the top, is its packed value modulo 2**w - 1.
+Then one subtraction tests a divisor (`VarTable.divides`) and gives the
+field-wise maximum that an lcm takes, or the minimum that a gcd takes.
 
 The relation ideal I is generated by the relations and, for each capped
 variable x, by its vanishing power x^cap, a relation of one term.  Every
@@ -102,7 +103,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
-from fmchow.polyalg import Poly, Presentation
+from fmchow.polyalg import MAX_DEGREE, Poly, Presentation
 from fmchow.setcomb import LargeFamily, canonical_walk, merge_family
 
 RankTable = list
@@ -180,10 +181,9 @@ class GradedRing:
     def __init__(self, p: Presentation):
         self.presentation = p
         self.width = p.table.width
-        bound = p.table.max_exponent
-        if p.top_degree > bound:
+        if p.top_degree > MAX_DEGREE:
             raise StructureError(
-                f"top degree {p.top_degree} is over the packed field's exponent bound {bound}"
+                f"top degree {p.top_degree} is over the packed monomial's degree bound {MAX_DEGREE}"
             )
         self.counts = _monomial_counts(p.table.caps(), p.top_degree)  # standard or not
         self._live = []  # standard monomials of each degree enumerated so far, ascending
@@ -228,6 +228,7 @@ class GradedRing:
         pairs = {}  # lcm degree -> (lcm, g, h) of each pending pair, LM g < LM h
         leads = {}
         for k in range(top + 1):
+            self._found.clear()  # its entries are monomials of the degrees below
             todo = pairs.pop(k, [])
             pending = {(g[0], h[0]) for _, g, h in todo}
             for lcm, g, h in todo:
@@ -351,7 +352,10 @@ class GradedRing:
         The divisor found for each monomial is kept in a memo.  Its "none"
         answers can change only when a new leading monomial equals the
         monomial: every monomial divided while the basis grows has the
-        degree being built, that of every new lead."""
+        degree being built, that of every new lead.  So the memo is
+        cleared when each degree of the build starts, as no later division
+        of the build meets its entries; after the build, queries fill it
+        again."""
         found, divisor = self._found, self._divisor
         heap = [-m for m in f]
         heapify(heap)

@@ -126,6 +126,14 @@ class TestRanks:
         )
         assert code == 3
 
+    def test_top_degree_over_the_degree_bound_exits_2(self, tmp_path):
+        # d*n = 126 is answered, 128 is over the packed monomial's degree bound
+        assert main(["ranks", "--d", "63", "--weights", "1,1", "--out", str(tmp_path / "in")]) == 0
+        assert json.loads((tmp_path / "in" / "ranks.json").read_text())["agree"] is True
+        out = tmp_path / "out"
+        assert main(["ranks", "--d", "64", "--weights", "1,1", "--out", str(out)]) == 2
+        assert not (out / "ranks.json").exists()
+
 
 class TestVerify:
     def test_counterexample_scenario(self, tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from fmchow.errors import DegreeError, StructureError
 from fmchow.polyalg import (
+    FIELD_BITS,
+    MAX_DEGREE,
     ChernPoly,
     Poly,
     Presentation,
@@ -335,44 +337,60 @@ class TestExponentChecks:
         assert Poly.monomial(self.X, (0, 10**9)).is_zero()
 
     def test_uncapped_exponent_over_the_field_is_refused_on_construction(self):
-        bound = self.X.max_exponent
-        assert bound == 2**15 - 1
-        assert str(Poly.monomial(self.X, (bound, 0))) == f"x^{bound}"
-        with pytest.raises(StructureError, match="packed field"):
-            Poly.monomial(self.X, (bound + 1, 0))
+        # every monomial has degree at most MAX_DEGREE, so no exponent
+        # reaches its field's guard bit
+        assert (FIELD_BITS, MAX_DEGREE) == (8, 127)
+        assert str(Poly.monomial(self.X, (127, 0))) == "x^127"
+        assert str(Poly.monomial(self.X, (125, 2))) == "x^125*h^2"
+        for exps in ((128, 0), (126, 2)):
+            with pytest.raises(StructureError, match="degree 128 is over the packed monomial's degree bound 127"):
+                Poly.monomial(self.X, exps)
+        # a cap kills a tuple before its degree is asked
+        assert Poly.monomial(self.X, (200, 3)).is_zero()
 
     def test_uncapped_exponent_over_the_field_is_refused_on_a_product(self):
-        bound = self.X.max_exponent
-        x = Poly.variable(self.X, "x")
-        top = Poly.monomial(self.X, (bound, 0))
-        with pytest.raises(StructureError, match="packed field"):
-            top * x
-        with pytest.raises(StructureError, match="packed field"):
-            (x + Poly.variable(self.X, "h")) ** (bound + 1)
-        # the capped field of the same product dies instead
-        assert (top * Poly.variable(self.X, "h") ** 3).is_zero()
+        x, h = Poly.variable(self.X, "x"), Poly.variable(self.X, "h")
+        with pytest.raises(StructureError, match="degree 128"):
+            Poly.monomial(self.X, (127, 0)) * x
+        # a product term killed by h's cap is dropped, not refused
+        assert (Poly.monomial(self.X, (125, 2)) * (x * h)).is_zero()
+        assert (x + h) ** 127 == Poly(self.X, {(127, 0): 1, (126, 1): 127, (125, 2): 127 * 63})
+        with pytest.raises(StructureError, match="degree 128"):
+            (x + h) ** 128
+        # neither field reaches its guard bit, but the degree is over the bound
+        xy = VarTable((Var("x"), Var("y")))
+        x64, y = Poly.monomial(xy, (64, 0)), Poly.variable(xy, "y")
+        assert (x64 * y**63).terms == {(64, 63): 1}
+        with pytest.raises(StructureError, match="degree 128"):
+            x64 * y**64
+        with pytest.raises(StructureError, match="degree 128"):
+            Poly.monomial(xy, (64, 64))
 
     def test_bound_keeps_every_degree_exact(self):
-        # n variables at the bound: the degree is the packed value modulo
-        # 2**16 - 1 only while n * bound stays below it
-        n = 31
+        # a monomial's degree is its packed value modulo 2**8 - 1, exact up to
+        # 254, the largest degree of a product of two monomials
+        assert 2 * MAX_DEGREE < 2**FIELD_BITS - 1
+        n = 40
         table = VarTable(tuple(Var(f"x{i}") for i in range(n)))
-        bound = table.max_exponent
-        assert n * bound < 2**16 - 1 <= n * (bound + 1)
-        full = Poly.monomial(table, (bound,) * n)
-        assert full.homogeneous_degree() == n * bound
-        assert full.terms == {(bound,) * n: 1}
-        with pytest.raises(StructureError):
-            full * Poly.variable(table, "x0")
+        exps = tuple(4 if i < 7 else 3 for i in range(n))
+        assert sum(exps) == 127
+        full = Poly.monomial(table, exps)
+        assert full.homogeneous_degree() == 127
+        assert full.terms == {exps: 1}
+        with pytest.raises(StructureError, match="degree 128"):
+            full * Poly.variable(table, "x39")
+        with pytest.raises(StructureError, match="degree 254"):
+            full * full
 
     def test_table_refuses_a_cap_the_field_cannot_hold(self):
-        assert VarTable((Var("h", 1, 2**15),)).max_exponent == 2**15 - 1
-        with pytest.raises(StructureError, match="cap"):
-            VarTable((Var("h", 1, 2**15 + 1),))
-        wide = tuple(Var(f"h{i}", 1, 2) for i in range(30))
-        bound = VarTable(wide).max_exponent
-        with pytest.raises(StructureError, match="cap"):
-            VarTable(wide + (Var("y", 1, bound + 2),))
+        # one bound for every table, however many variables it has
+        wide = VarTable(tuple(Var(f"h{i}", 1, 128) for i in range(40)))
+        assert str(Poly.monomial(wide, (127,) + (0,) * 39)) == "h0^127"
+        assert Poly.monomial(wide, (128,) + (0,) * 39).is_zero()
+        with pytest.raises(StructureError, match="cap 129"):
+            VarTable((Var("h", 1, 129),))
+        with pytest.raises(StructureError, match="cap 129"):
+            VarTable(wide.vars + (Var("y", 1, 129),))
 
     def test_transport_checks_the_target_field(self):
         small = VarTable((Var("a", 1, 3), Var("b", 1, 3), Var("c", 1, 3)))
@@ -383,12 +401,13 @@ class TestExponentChecks:
         c = Poly.variable(small, "c")
         assert transport(a * a * b * b, merged, rename) == Poly.monomial(merged, (4,))
         assert transport(a * a * b * b * c, merged, rename).is_zero()
-        bound = self.X.max_exponent
-        onto_x = transport(Poly.monomial(self.X, (bound, 0)), VarTable((Var("x"),)))
-        assert onto_x == Poly.monomial(VarTable((Var("x"),)), (bound,))
-        wide = VarTable((Var("x"), Var("h", 1, 3)) + tuple(Var(f"y{i}") for i in range(3)))
-        with pytest.raises(StructureError, match="packed field"):
-            transport(Poly.monomial(self.X, (bound, 0)), wide)
+        # a rename keeps the degree, so a merged uncapped field stays in bounds
+        free = VarTable((Var("a"), Var("b")))
+        onto = VarTable((Var("z"),))
+        assert transport(Poly.monomial(free, (60, 67)), onto, {"a": "z", "b": "z"}) == Poly.monomial(onto, (127,))
+        wide = VarTable((Var("x"), Var("h", 1, 3)) + tuple(Var(f"y{i}") for i in range(40)))
+        onto_wide = transport(Poly.monomial(self.X, (127, 0)), wide)
+        assert onto_wide.terms == {(127,) + (0,) * 41: 1}
 
 
 def _reference_normalized(terms, caps):
@@ -432,6 +451,42 @@ def tables_and_polys(draw):
     return table, polys
 
 
+def _reference_mul_checked(a, b, caps):
+    """The product of exponent-tuple terms, or None where a term that
+    survives the caps has a degree over MAX_DEGREE, so the product must
+    be refused; a zero factor makes no terms to check."""
+    terms = [(tuple(x + y for x, y in zip(e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()]
+    alive = [(e, c) for e, c in terms if not any(cap is not None and x >= cap for x, cap in zip(e, caps))]
+    if any(sum(e) > MAX_DEGREE for e, _ in alive):
+        return None
+    return _reference_normalized(alive, caps)
+
+
+@st.composite
+def near_bound_polys(draw):
+    """A table of up to 40 variables, capped up to MAX_DEGREE + 1 or not,
+    and two polynomials whose terms have degree up to MAX_DEGREE, often
+    near it, each spread over up to four variables."""
+    nvars = draw(st.integers(1, 40))
+    caps = draw(st.lists(st.none() | st.integers(1, MAX_DEGREE + 1), min_size=nvars, max_size=nvars))
+    table = VarTable(tuple(Var(f"x{i}", 1, cap) for i, cap in enumerate(caps)))
+
+    def monomial():
+        degree = draw(st.integers(0, MAX_DEGREE) | st.integers(MAX_DEGREE // 2, MAX_DEGREE))
+        support = draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=4))
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=len(support) - 1, max_size=len(support) - 1)))
+        exps = [0] * nvars
+        for i, lo, hi in zip(support, [0] + cuts, cuts + [degree]):
+            exps[i] += hi - lo
+        return tuple(exps)
+
+    polys = [
+        {monomial(): draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for _ in range(draw(st.integers(0, 3)))}
+        for _ in range(2)
+    ]
+    return table, polys
+
+
 class TestPackedAgreesWithTupleReference:
     @settings(max_examples=150, deadline=None)
     @given(tables_and_polys(), st.integers(0, 3))
@@ -464,3 +519,28 @@ class TestPackedAgreesWithTupleReference:
             lead = max(ref, key=lambda e: tuple(reversed(e)), default=None)
             flip = lead is not None and ref[lead] < 0
             assert poly.sign_normalized().terms == ({e: -c for e, c in ref.items()} if flip else ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_bound_polys(), st.integers(0, 4))
+    def test_products_and_powers_near_the_degree_bound(self, drawn, k):
+        table, (ta, tb) = drawn
+        caps = table.caps()
+        a, b = Poly(table, ta), Poly(table, tb)
+        ra, rb = _reference_normalized(ta.items(), caps), _reference_normalized(tb.items(), caps)
+        assert a.terms == ra and b.terms == rb
+        power = {(0,) * len(table): 1}
+        for _ in range(k):
+            power = None if power is None else _reference_mul_checked(power, ra, caps)
+        for op, ref in ((lambda: a * b, _reference_mul_checked(ra, rb, caps)), (lambda: a**k, power)):
+            if ref is None:
+                with pytest.raises(StructureError, match="over the packed monomial's degree bound 127"):
+                    op()
+                continue
+            poly = op()
+            assert poly.terms == ref
+            degrees = {sum(e) for e in ref}
+            if len(degrees) > 1:
+                with pytest.raises(DegreeError):
+                    poly.homogeneous_degree()
+            else:
+                assert poly.homogeneous_degree() == (degrees.pop() if degrees else None)

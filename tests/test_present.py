@@ -119,6 +119,31 @@ class TestChowPresentation:
         assert graded_ranks(p_perturbed) == graded_ranks(p_original)
 
 
+class TestDegreeBound:
+    def test_geometry_tables_refuse_a_top_degree_over_the_bound(self):
+        for dim, n in ((127, 1), (63, 2), (1, 127)):
+            assert len(ProjectiveGeometry(dim, n).point_table()) == n
+        geom = ProjectiveGeometry(64, 2)
+        with pytest.raises(StructureError, match="top degree 128"):
+            geom.point_table()
+        with pytest.raises(StructureError, match="top degree 128"):
+            geom.table_for(LargeFamily.all_subsets(2))
+
+    def test_builders_refuse_before_any_relation_is_built(self, monkeypatch):
+        def no_build(*args):
+            pytest.fail("a builder started work on an instance over the degree bound")
+
+        monkeypatch.setattr(fmchow.present, "_Build", no_build)
+        geom, large = ProjectiveGeometry(64, 2), LargeFamily.all_subsets(2)
+        for build in (
+            lambda: chow_presentation(geom, large),
+            lambda: simplified_presentation(geom),
+            lambda: iterated_presentation(geom, large),
+        ):
+            with pytest.raises(StructureError, match="top degree 128 of P\\^64 with 2 points"):
+                build()
+
+
 class TestSimplifiedPresentation:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_two_points_coincides_with_full(self, dim):

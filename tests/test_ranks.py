@@ -1444,18 +1444,17 @@ class TestOneSpanAlive:
 class TestFieldBound:
     def test_ring_takes_a_top_degree_at_the_bound(self):
         # a constant relation leaves every degree empty, so the ring is cheap
-        # up to the table's exponent bound, and refused one degree above it
+        # up to the packed monomial's degree bound, and refused one above it
         table = VarTable((Var("x"), Var("y")))
         one = Poly.constant(table, 1)
-        top = table.max_exponent
-        assert graded_ranks(Presentation(table, [one], top)) == [0] * (top + 1)
-        with pytest.raises(StructureError, match=f"exponent bound {top}"):
-            GradedRing(Presentation(table, [one], top + 1))
+        assert graded_ranks(Presentation(table, [one], 127)) == [0] * 128
+        with pytest.raises(StructureError, match="degree bound 127"):
+            GradedRing(Presentation(table, [one], 128))
 
     def test_ring_refuses_a_top_degree_the_field_cannot_hold(self):
         table = VarTable((Var("x"), Var("y")))
         assert graded_ranks(Presentation(table, [], 5)) == [1, 2, 3, 4, 5, 6]
-        # every exponent must stay below its field's guard bit, 2**15
-        for top in (1 << 15, 1 << 16):
-            with pytest.raises(StructureError, match="packed field"):
+        # every exponent must stay below its field's guard bit, 2**7
+        for top in (128, 1 << 15, 1 << 16):
+            with pytest.raises(StructureError, match=f"top degree {top} is over the packed monomial's degree bound"):
                 graded_ranks(Presentation(table, [], top))
