@@ -1,6 +1,7 @@
 """Tests for the command-line interface (exit codes, files, determinism)."""
 
 import json
+from hashlib import sha256
 
 import pytest
 
@@ -323,7 +324,33 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+#: SHA-256 of the three files of `fmchow present --export-cas`, in the
+#: order presentation.txt, presentation.json, presentation.cas.txt; CI's
+#: installed-package smoke step checks the first against the same digests
+PRESENT_GOLDEN = {
+    ("1", "1,1,1,1"): (
+        "9ff0dddeaacf9e5427a293e31361282d3e5e2c0f2989e2941a08040310f9a7a7",
+        "0d8e2ccd37df7046031187fdb9297f0e33be92d30c86ca9ab8fd201320174fff",
+        "c4ec58a7b1177d7a226028ba16eb09c6087f1b65acd45a8b284927d11c1766ca",
+    ),
+    ("2", "1,1/2,1/2"): (
+        "cb7d10781b4563d889e4e3c3e24f45708b45c9b2301d0464dbe9bf48313a3557",
+        "637fa3bc2aa362904b268c3f2ce2bc6fa8bf67f5bb24b53553d5fa9b1960c5c5",
+        "6efb01b39af79e56b39101df9f365cb44e8098c3f52cf61cbbbbcf44778db927",
+    ),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("d, weights", sorted(PRESENT_GOLDEN))
+    def test_present_files_are_golden(self, tmp_path, d, weights):
+        # the dump, its JSON mirror and the CAS export, variable lines and
+        # "degree" entries included
+        assert main(["present", "--d", d, "--weights", weights, "--export-cas", "--out", str(tmp_path)]) == 0
+        names = ("presentation.txt", "presentation.json", "presentation.cas.txt")
+        digests = tuple(sha256((tmp_path / name).read_bytes()).hexdigest() for name in names)
+        assert digests == PRESENT_GOLDEN[d, weights]
+
     def test_present_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["present", "--d", "1", "--weights", "1,1,1", "--export-cas"]
