@@ -31,7 +31,7 @@ from fmchow.polyalg import (
     chern_mul,
     chern_shift,
     divisor_name,
-    substitute,
+    map_poly,
     transport,
 )
 from fmchow.present import (
@@ -117,13 +117,13 @@ __all__ = [
     "ideal_ranks",
     "iterated_presentation",
     "kernel_ranks",
+    "map_poly",
     "membership",
     "memberships",
     "merge_family",
     "monomials_of_degree",
     "rank_oracle",
     "simplified_presentation",
-    "substitute",
     "transport",
     "validate_walk",
 ]

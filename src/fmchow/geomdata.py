@@ -39,11 +39,6 @@ class ProjectiveGeometry:
         if self.n < 1:
             raise ValueError("need at least one marked point")
 
-    def tangent_chern(self) -> tuple:
-        """Coefficient data of c(TP^d): entry l is (binomial(d+1, l), l),
-        meaning c_l = binomial(d+1, l) * h^l."""
-        return tuple((comb(self.dim + 1, ell), ell) for ell in range(self.dim + 1))
-
     def point_table(self) -> VarTable:
         """h_1..h_n, each killed in power d+1.  Raises StructureError when
         the top degree d*n is over the packed monomial's degree bound: the
@@ -66,9 +61,7 @@ class ProjectiveGeometry:
         canonical variable order first."""
         if large.n != self.n:
             raise ValueError("family and geometry disagree on the number of points")
-        divisors = tuple(
-            Var(divisor_name(s), 1, None) for s in reversed(large.sorted_members())
-        )
+        divisors = tuple(Var(divisor_name(s)) for s in reversed(large.sorted_members()))
         return VarTable(self.point_table().vars + divisors)
 
     def top_degree(self) -> int:
@@ -163,11 +156,3 @@ def chern_set(geom: ProjectiveGeometry, s, table: VarTable = None, chain=None) -
     for a, b in zip(chain[1:], chain[2:]):
         out = chern_mul(out, chern_pair(geom, a, b, table))
     return out
-
-
-def divisor_sum(table: VarTable, large: LargeFamily, lower) -> Poly:
-    """Sum of divisor variables D_V over large V containing `lower`."""
-    lower = frozenset(lower)
-    return Poly.variable_sum(
-        table, [divisor_name(v) for v in large.members if lower <= v]
-    )

@@ -1,20 +1,21 @@
 """Exact multivariate polynomial arithmetic and graded presentations.
 
 Coefficients are arbitrary-precision integers; any other coefficient
-(a Fraction, a float) raises StructureError.  Variables come in two
-flavors: point variables (hyperplane classes h_i, nilpotent with a fixed
-power cap, so `h_i^cap = 0` is enforced inside normalization rather than
-carried as an explicit relation) and divisor variables (D_S, E, ...) with
-no cap.  Every value is immutable after construction; normalization --
-dropping zero coefficients and monomials that violate a cap -- is the only
-place terms disappear.
+(a Fraction, a float) raises StructureError.  A variable (`Var`) is a name
+and an optional cap, and has degree 1: a point variable (hyperplane class
+h_i) is nilpotent with a fixed power cap, so `h_i^cap = 0` is enforced
+inside normalization rather than carried as an explicit relation, and a
+divisor variable (D_S, E, ...) has no cap.  Every value is immutable after
+construction; normalization -- dropping zero coefficients and monomials
+that violate a cap -- is the only place terms disappear.
 
 Monomials are packed integers, one encoding from the presentation build
-to elimination.  A field of w = 8 bits per variable holds its exponent,
+through ring maps (`map_poly`) to elimination.  A field of w = FIELD_BITS
+= 8 bits per variable, the same for every table, holds its exponent,
 variable i at bit i*w, so ascending integer order is the canonical basis
-order (`_mono_key`, later variables most significant), and the product of
-two monomials is one integer addition.  The top bit of each field is a
-guard bit.  Every monomial has total degree at most MAX_DEGREE =
+order (later variables most significant), and the product of two
+monomials is one integer addition.  The top bit of each field is a guard
+bit.  Every monomial has total degree at most MAX_DEGREE =
 2**(w-1) - 1 = 127, every variable having degree 1, so no exponent
 reaches its field's guard bit.  The exponent sum of a product of two
 monomials is at most 254 in every field, so it never carries into the next
@@ -37,7 +38,7 @@ and a factor prints as `h3^2` or `D{1,3}`.  Example: `E^2 - 2*h*E + h^2`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -58,16 +59,15 @@ def divisor_name(s) -> str:
 
 @dataclass(frozen=True)
 class Var:
-    """One ring variable, of degree 1.  `cap` is the vanishing power
-    (v**cap == 0), or None for no cap."""
+    """One ring variable.  Every variable has degree 1, as every generator
+    of the presentation (the h_i and the D_S) has, so no degree is stored.
+    `cap`, keyword-only, is the vanishing power (v**cap == 0), or None for
+    no cap: `Var("h", cap=4)`."""
 
     name: str
-    degree: int = 1
-    cap: Optional[int] = None
+    cap: Optional[int] = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if self.degree != 1:
-            raise ValueError("every variable has degree 1")
         if self.cap is not None and self.cap < 1:
             raise ValueError("variable cap must be positive")
 
@@ -76,7 +76,7 @@ class Var:
 class VarTable:
     """An ordered tuple of distinct variables, and the packed encoding of
     monomials over them (see the module docstring).  Tables compare and
-    hash by a plain tuple of (name, degree, cap), made once."""
+    hash by a plain tuple of (name, cap), made once."""
 
     vars: tuple
 
@@ -98,7 +98,7 @@ class VarTable:
                 )
             bias += (half - v.cap) << (i * w)
             capped |= bit
-        key = tuple((v.name, v.degree, v.cap) for v in self.vars)
+        key = tuple((v.name, v.cap) for v in self.vars)
         for name, value in (
             ("_index", {v.name: i for i, v in enumerate(self.vars)}),
             ("_names", tuple(names)),
@@ -112,15 +112,10 @@ class VarTable:
         ):
             object.__setattr__(self, name, value)
 
-    @property
-    def width(self) -> int:
-        """Bits per variable in a packed monomial."""
-        return FIELD_BITS
-
     @classmethod
-    def for_points(cls, n: int, dim: int, prefix: str = "h") -> "VarTable":
+    def for_points(cls, n: int, dim: int) -> "VarTable":
         """h_1..h_n, each killed in power dim+1 (the Chow ring of (P^dim)^n)."""
-        return cls(tuple(Var(f"{prefix}{i}", 1, dim + 1) for i in range(1, n + 1)))
+        return cls(tuple(Var(f"h{i}", cap=dim + 1) for i in range(1, n + 1)))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, VarTable) and self._key == other._key)
@@ -181,12 +176,6 @@ class VarTable:
         """The exponent tuple of a packed monomial."""
         return tuple((packed >> shift) & _FIELD for shift in self._shifts)
 
-    def divides(self, d: int, packed: int) -> bool:
-        """Whether the packed monomial d divides the packed monomial
-        `packed`: the fields never carry, so with every guard bit set,
-        packed - d keeps them all iff no exponent of d is larger."""
-        return ((packed | self._guard) - d) & self._guard == self._guard
-
 
 def _too_large(degree: int) -> str:
     return f"a monomial of degree {degree} is over the packed monomial's degree bound {MAX_DEGREE}"
@@ -221,12 +210,6 @@ def _mul_into(out: dict, p: dict, q: dict, table: VarTable) -> dict:
             else:
                 del out[m]
     return out
-
-
-def _mono_key(exps):
-    # Later variables (divisor variables) rank highest; descending order of
-    # this key is the canonical printing order, ascending the basis order.
-    return tuple(reversed(exps))
 
 
 class Poly:
@@ -384,12 +367,6 @@ class Poly:
 
     # -- canonical form ----------------------------------------------------
 
-    def sign_normalized(self) -> "Poly":
-        """Same polynomial up to sign, with positive leading coefficient."""
-        if self.packed and self.packed[max(self.packed)] < 0:
-            return -self
-        return self
-
     def _term_str(self, m: int, coeff, leading: bool) -> str:
         """One term of packed monomial m, its factors in variable order:
         only the set fields of m are visited, from the lowest up."""
@@ -461,20 +438,36 @@ def transport(poly: Poly, table: VarTable, rename: Optional[Mapping] = None) -> 
     return Poly._of(table, out)
 
 
-def substitute(poly: Poly, name: str, value: Poly) -> Poly:
-    """Replace one variable by a polynomial (over the same table)."""
-    poly._check_table(value)
-    idx = poly.table.index(name)
-    out = Poly.zero(poly.table)
-    powers = {0: Poly.constant(poly.table, 1)}
-    for exps, coeff in sorted(poly.terms.items()):
-        e = exps[idx]
-        if e not in powers:
-            powers[e] = value**e
-        rest = list(exps)
-        rest[idx] = 0
-        out = out + Poly.monomial(poly.table, tuple(rest), coeff) * powers[e]
-    return out
+def map_poly(poly: Poly, images: Mapping, table: VarTable) -> Poly:
+    """The image of a polynomial under the ring map that sends each
+    variable of its table to `images[name]`, a polynomial over `table`: the
+    one routine that maps variables to polynomials.  Each packed monomial's
+    set fields are visited, as `Poly._term_str` visits them, and the
+    image's powers they need are made once for the call and multiplied in
+    by `_mul_into`, the target's caps applied.  Raises StructureError for
+    a variable with no image or an image over another table."""
+    powers = []  # of each variable's image, packed, from the 0th
+    for name in poly.table._names:
+        image = images.get(name)
+        if image is None:
+            raise StructureError(f"no image given for variable {name!r}")
+        if image.table is not table and image.table != table:
+            raise StructureError(f"image of {name!r} lives over a different variable table")
+        powers.append([{0: 1}, image.packed])
+    out = {}
+    for m, coeff in poly.packed.items():
+        term = {0: coeff}
+        rest = m
+        while rest:
+            i = ((rest & -rest).bit_length() - 1) // FIELD_BITS
+            e = (rest >> (i * FIELD_BITS)) & _FIELD
+            rest &= ~(_FIELD << (i * FIELD_BITS))
+            power = powers[i]
+            while len(power) <= e:
+                power.append(_mul_into({}, power[-1], power[1], table))
+            term = _mul_into({}, term, power[e], table)
+        _mul_into(out, term, {0: 1}, table)
+    return Poly._of(table, out)
 
 
 class ChernPoly:
@@ -664,7 +657,7 @@ class Presentation:
         p = self.canonical_var_order()
         return {
             "vars": [
-                {"name": v.name, "degree": v.degree, "cap": v.cap}
+                {"name": v.name, "degree": 1, "cap": v.cap}
                 for v in p.table.vars
             ],
             "relations": [str(r) for r in p.relations],

@@ -274,7 +274,7 @@ def blowup_step(
     """
     if name in p.table:
         raise StructureError(f"variable {name!r} already present")
-    table = p.table.extended(Var(name, 1, None))
+    table = p.table.extended(Var(name))
     gens = []
     for g in center_ideal:
         g.homogeneous_degree()  # raises DegreeError if inhomogeneous
@@ -293,7 +293,7 @@ def _walk_table(geom: ProjectiveGeometry, walk) -> VarTable:
     """The point variables, then one divisor variable per step in walk
     order."""
     return VarTable(
-        geom.point_table().vars + tuple(Var(divisor_name(t), 1, None) for t in walk)
+        geom.point_table().vars + tuple(Var(divisor_name(t)) for t in walk)
     )
 
 

@@ -10,14 +10,17 @@ integers, but a positive membership answer is rational membership only --
 integral torsion is out of scope.
 
 Monomials are the packed integers of `Poly` (see `fmchow.polyalg`): the
-exponent of variable i sits in the field at bit i*w.  The monomial order is
+exponent of variable i sits in the field at bit i*w, w = FIELD_BITS for
+every table, and a ring map's images are made by `fmchow.polyalg.map_poly`
+from them, with no exponent tuple between.  The monomial order is
 their integer order, lex with the later variables most significant, and it
 is a monomial order: the fields never carry, so m < m' gives q*m < q*m'.  A
 ring refuses a top degree over the degree bound MAX_DEGREE of the packed
 monomials, so every exponent of a monomial of degree at most the top lies
 below the guard bit of its field, and the degree of an lcm of two such
 monomials, at most twice the top, is its packed value modulo 2**w - 1.
-Then one subtraction tests a divisor (`VarTable.divides`) and gives the
+Then one subtraction tests a divisor: with every guard bit set, u - d
+keeps them all iff no exponent of d is larger than u's.  It also gives the
 field-wise maximum that an lcm takes, or the minimum that a gcd takes.
 
 The relation ideal I is generated by the relations and, for each capped
@@ -103,7 +106,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
-from fmchow.polyalg import MAX_DEGREE, Poly, Presentation
+from fmchow.polyalg import FIELD_BITS, MAX_DEGREE, Poly, Presentation, map_poly
 from fmchow.setcomb import LargeFamily, canonical_walk, merge_family
 
 RankTable = list
@@ -140,7 +143,7 @@ def _monomial_counts(caps, top: int) -> list:
     return counts
 
 
-def _live_layer(d: int, below: dict, steps, width: int) -> dict:
+def _live_layer(d: int, below: dict, steps) -> dict:
     """Every degree-d monomial q*x with x one of the packed variables
     `steps` (ascending) whose degree-(d-1) divisors all lie in `below`,
     packed and ascending, each mapped to the tuple of those divisors.
@@ -158,7 +161,7 @@ def _live_layer(d: int, below: dict, steps, width: int) -> dict:
     has = below.__contains__
     out = {}
     for step in steps:
-        bound = step << width  # the first monomial with a variable after x_i
+        bound = step << FIELD_BITS  # the first monomial with a variable after x_i
         for q, divisors in below.items():
             if q >= bound:
                 break
@@ -180,7 +183,6 @@ class GradedRing:
 
     def __init__(self, p: Presentation):
         self.presentation = p
-        self.width = p.table.width
         if p.top_degree > MAX_DEGREE:
             raise StructureError(
                 f"top degree {p.top_degree} is over the packed monomial's degree bound {MAX_DEGREE}"
@@ -216,7 +218,7 @@ class GradedRing:
         """Degree -> the set of the basis's leading monomials of that
         degree, once the basis is built, on first use."""
         p = self.presentation
-        w, top = self.width, p.top_degree
+        w, top = FIELD_BITS, p.top_degree
         field = (1 << w) - 1
         relations = {}  # degree -> packed terms, each cap first
         for i, cap in enumerate(p.table.caps()):
@@ -250,7 +252,7 @@ class GradedRing:
         if not terms:
             return
         new = lead, a, tail = _element(terms)
-        w, top, guard = self.width, self.presentation.top_degree, self.presentation.table._guard
+        w, top, guard = FIELD_BITS, self.presentation.top_degree, self.presentation.table._guard
         field = (1 << w) - 1
         content = lead  # the field-wise minimum of the monomials
         for m, _ in tail:
@@ -288,7 +290,7 @@ class GradedRing:
         with one of them is pending: each has an lcm that is a proper
         divisor of it, or was treated before in this degree (see the module
         docstring)."""
-        w, guard = self.width, self.presentation.table._guard
+        w, guard = FIELD_BITS, self.presentation.table._guard
         field = (1 << w) - 1
         rest = lcm
         while rest:
@@ -325,7 +327,7 @@ class GradedRing:
         """An element whose leading monomial divides u, or None: the first
         one found among the leads whose largest variable u holds, its
         fields from the lowest up."""
-        w, guard = self.width, self.presentation.table._guard
+        w, guard = FIELD_BITS, self.presentation.table._guard
         field = (1 << w) - 1
         for g in self._by_last.get(-w, ()):  # a constant, which divides every monomial
             return g
@@ -429,8 +431,8 @@ class GradedRing:
             if e > 1:
                 steps = layers[1]  # the standard variables
             else:
-                steps = [1 << (i * self.width) for i in range(len(self.presentation.table))]
-            layer = _live_layer(e, layers[-1] if layers else None, steps, self.width)
+                steps = [1 << (i * FIELD_BITS) for i in range(len(self.presentation.table))]
+            layer = _live_layer(e, layers[-1] if layers else None, steps)
             for m in self._leads.get(e, ()):
                 layer.pop(m, None)
             layers.append(layer)
@@ -611,25 +613,6 @@ def ideal_ranks(p: Presentation, gens, monomial_cap: int = None) -> RankTable:
     return list(map(lambda span: span.insert_products(gens), spans))  # one span at a time
 
 
-def _map_monomial(exps, names, images: dict, target: Presentation) -> Poly:
-    """Image of the monomial with these exponents of the named variables."""
-    term = Poly.constant(target.table, 1)
-    for name, e in zip(names, exps):
-        if e:
-            term = term * images[name] ** e
-    return term
-
-
-def map_poly(poly: Poly, images: dict, target: Presentation) -> Poly:
-    """Push a polynomial through a variable substitution into the target
-    presentation's ring."""
-    out = Poly.zero(target.table)
-    names = poly.table.names()
-    for exps, coeff in sorted(poly.terms.items()):
-        out = out + _map_monomial(exps, names, images, target) * coeff
-    return out
-
-
 def kernel_ranks(
     p_source: Presentation,
     p_target: Presentation,
@@ -661,7 +644,7 @@ def kernel_ranks(
     targets = GradedRing(p_target).spans(range(min(top, target_top) + 1), monomial_cap)
     mapped = {}
     for rel in p_source.relations:
-        image = map_poly(rel, var_images, p_target)
+        image = map_poly(rel, var_images, p_target.table)
         if not image.is_zero():
             mapped.setdefault(image.homogeneous_degree(), []).append((rel, image))
 
@@ -677,11 +660,10 @@ def kernel_ranks(
         if tgt_span.degree > source_top:
             return None
         src_span = next(sources)
-        # the standard monomials are a basis of the source quotient
-        names = p_source.table.names()
+        # the standard monomials, packed, are a basis of the source quotient
         image = sum(
-            tgt_span.insert(_map_monomial(m, names, var_images, p_target))
-            for m in src_span.alive_monomials
+            tgt_span.insert(map_poly(Poly._of(p_source.table, {m: 1}), var_images, p_target.table))
+            for m in src_span.ring.live(src_span.degree)
         )
         return src_span.quotient_rank() - image
 

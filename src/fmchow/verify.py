@@ -88,7 +88,7 @@ def first_divergence(tables) -> int:
 
 
 def _blown_up_p3_along_line() -> Presentation:
-    table = VarTable((Var("h", 1, 4),))
+    table = VarTable((Var("h", cap=4),))
     h = Poly.variable(table, "h")
     base = Presentation(table, [], 3)
     # center P^1 in P^3: ideal <h^2>, normal bundle O(1)+O(1), class h^2
@@ -97,7 +97,7 @@ def _blown_up_p3_along_line() -> Presentation:
 
 
 def _blown_up_p2_at_point() -> Presentation:
-    table = VarTable((Var("h", 1, 3),))
+    table = VarTable((Var("h", cap=3),))
     h = Poly.variable(table, "h")
     base = Presentation(table, [], 2)
     # center a point in P^2: ideal <h>, trivial normal Chern class, class h^2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fmchow.present
 from fmchow.errors import StructureError, WalkOrderError
-from fmchow.geomdata import ProjectiveGeometry, chern_set, diagonal_ideal, divisor_sum
+from fmchow.geomdata import ProjectiveGeometry, chern_set, diagonal_ideal
 from fmchow.polyalg import (
     ChernPoly,
     Poly,
@@ -42,6 +42,12 @@ F = frozenset
 
 def var(p, name):
     return Poly.variable(p.table, name)
+
+
+def divisor_sum(table, large, lower):
+    """The sum of the divisor variables D_V over the large V containing
+    `lower`."""
+    return Poly.variable_sum(table, [divisor_name(v) for v in large.members if F(lower) <= v])
 
 
 class TestChowPresentation:
@@ -240,7 +246,7 @@ class TestCoincidenceData:
 
 class TestBlowupStep:
     def test_blown_up_p3_matches_printed_ring(self):
-        table = VarTable((Var("h", 1, 4),))
+        table = VarTable((Var("h", cap=4),))
         h = Poly.variable(table, "h")
         base = Presentation(table, [], 3)
         chern = ChernPoly(table, 2, [h * h, 2 * h, Poly.constant(table, 1)])
@@ -249,7 +255,7 @@ class TestBlowupStep:
         assert graded_ranks(p) == [1, 2, 2, 1]
 
     def test_point_in_plane(self):
-        table = VarTable((Var("h", 1, 3),))
+        table = VarTable((Var("h", cap=3),))
         h = Poly.variable(table, "h")
         base = Presentation(table, [], 2)
         chern = ChernPoly(table, 2, [h * h, Poly.zero(table), Poly.constant(table, 1)])
@@ -259,7 +265,7 @@ class TestBlowupStep:
     def test_empty_center_keeps_base_ranks(self):
         # an empty center is encoded by putting 1 in the ideal, which kills
         # the new variable; the quotient keeps the ranks of the base
-        table = VarTable((Var("h", 1, 3),))
+        table = VarTable((Var("h", cap=3),))
         h = Poly.variable(table, "h")
         base = Presentation(table, [], 2)
         chern = ChernPoly(
@@ -269,7 +275,7 @@ class TestBlowupStep:
         assert graded_ranks(p) == graded_ranks(base) == [1, 1, 1]
 
     def test_name_collision(self):
-        table = VarTable((Var("h", 1, 3),))
+        table = VarTable((Var("h", cap=3),))
         base = Presentation(table, [], 2)
         chern = ChernPoly(
             table, 1, [Poly.variable(table, "h"), Poly.constant(table, 1)]
@@ -463,7 +469,7 @@ class TestOnePassBuild:
         large = LargeFamily.all_subsets(4)
         walk = canonical_walk(large)
         final = VarTable(
-            geom.point_table().vars + tuple(Var(divisor_name(t), 1, None) for t in walk)
+            geom.point_table().vars + tuple(Var(divisor_name(t)) for t in walk)
         )
         processed = LargeFamily.empty(4)
         for t in walk:
