@@ -42,11 +42,22 @@ from fmchow.setcomb import LargeFamily, Weights
 
 F = frozenset
 
-#: all-large instances whose truncated Groebner basis is pinned
+#: instances whose truncated Groebner basis is pinned: all-large ones, and
+#: the two weighted ones of the benchmark's `ladder` workload
 BASIS_INSTANCES = {
-    f"({dim},{n}) {kind}": (dim, n, build)
-    for dim, n in ((1, 5), (2, 4))
-    for kind, build in (("direct", chow_presentation), ("iterated", iterated_presentation))
+    **{
+        f"({dim},{n}) {kind}": (dim, LargeFamily.all_subsets(n), build)
+        for dim, n in ((1, 5), (2, 4))
+        for kind, build in (("direct", chow_presentation), ("iterated", iterated_presentation))
+    },
+    **{
+        f"({dim},{len(weights)}) {','.join(weights)} direct": (
+            dim,
+            LargeFamily.from_weights(Weights.from_strings(weights)),
+            chow_presentation,
+        )
+        for dim, weights in ((2, ("1/2",) * 4), (4, ("1", "1/2", "1/2")))
+    },
 }
 #: SHA-256 of the basis elements, one line each in the order found
 BASIS_GOLDEN = {
@@ -54,6 +65,8 @@ BASIS_GOLDEN = {
     "(1,5) iterated": "1482639bc0cda68fd067832deffc53ee791513df91948b852bf231f5856a201e",
     "(2,4) direct": "6200381d7be52d93a8c2665785a8afb4a3efb9586dafa2e037e50e3b20412fc9",
     "(2,4) iterated": "d79ae4b5b84e3f6642c6e756ba3ada037567cb63f0582722e772fc063041d029",
+    "(2,4) 1/2,1/2,1/2,1/2 direct": "46d87ec26e878468579d7c2095b42129af7efdbd8c4097d5d09d2e0e0549b2d6",
+    "(4,3) 1,1/2,1/2 direct": "c7674ce182f748ad0eaed1f70a6a07afb4bfa4d9e21c7d1822b0e598455e7545",
 }
 
 
@@ -399,8 +412,8 @@ class TestGradedRanks:
     def test_basis_is_golden(self, name):
         # the basis element for element, in the order found: a criterion
         # that skips an S-polynomial of nonzero remainder changes it
-        dim, n, build = BASIS_INSTANCES[name]
-        p = build(ProjectiveGeometry(dim, n), LargeFamily.all_subsets(n))
+        dim, family, build = BASIS_INSTANCES[name]
+        p = build(ProjectiveGeometry(dim, family.n), family)
         basis = GradedRing(p).basis
         assert sha256("\n".join(map(str, basis)).encode()).hexdigest() == BASIS_GOLDEN[name]
 
