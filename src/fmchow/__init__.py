@@ -59,7 +59,6 @@ from fmchow.setcomb import (
     Weights,
     all_walks,
     canonical_walk,
-    is_overlap,
     merge_family,
     validate_walk,
 )

@@ -34,7 +34,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from fmchow.errors import SizeCapError
 from fmchow.geomdata import ProjectiveGeometry
 from fmchow.polyalg import ChernPoly, Poly, Presentation, Var, VarTable, transport
 from fmchow.present import (

@@ -1,8 +1,13 @@
 """Tests for the package's public namespace."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import fmchow
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_star_import_resolves_every_public_name():
@@ -99,3 +104,42 @@ def test_var_takes_a_keyword_cap():
     assert fmchow.Var("E").cap is None
     with pytest.raises(ValueError, match="cap must be positive"):
         fmchow.Var("h", cap=0)
+
+
+def unread_imports(source: str) -> list:
+    """The names that an import in `source` binds and the module never
+    reads, in order.  A name listed in the module's `__all__` counts as
+    read; `from __future__` imports bind nothing."""
+    tree = ast.parse(source)
+    bound = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_unread_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom math import gcd, lcm as l\n"
+        "from x import y\n__all__ = ['y']\nprint(gcd)\n"
+    )
+    assert unread_imports(source) == ["os", "j", "l"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "fmchow").glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_every_import_is_read(path):
+    assert unread_imports(path.read_text()) == []

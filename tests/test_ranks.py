@@ -15,7 +15,6 @@ from fmchow.errors import DegreeError, MapError, SizeCapError, StructureError
 from fmchow.geomdata import ProjectiveGeometry
 from fmchow.polyalg import (
     FIELD_BITS,
-    ChernPoly,
     Poly,
     Presentation,
     Var,
@@ -23,7 +22,7 @@ from fmchow.polyalg import (
     divisor_name,
     map_poly,
 )
-from fmchow.present import blowup_step, chow_presentation, iterated_presentation
+from fmchow.present import chow_presentation, iterated_presentation
 from fmchow.ranks import (
     DegreeSpan,
     Echelon,
