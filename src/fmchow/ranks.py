@@ -66,19 +66,23 @@ standard and it is no LM of G.  The monomial cap refuses on the count of
 all monomials of a degree, standard or not, made by a small DP over the
 variables before anything is built.
 
-Division by G gives each form of degree at most the top its normal form
-NF, the one combination of standard monomials congruent to it modulo I, so
-NF is linear and NF(f) = 0 iff f lies in I.  It is fraction-free: a term u
-of coefficient b whose divisor g has lead a gives a'*f - b'*(u/LM g)*g,
-with a' = a/gcd(a, b) and b' = b/gcd(a, b), and the content is divided out
-at the end, so the remainder is NF(f) up to a positive rational factor.  A
-degree slice, `DegreeSpan`, has the standard monomials as its columns, and
-its `Echelon` holds query rows only.  Every monomial m is congruent to a
-combination of standard monomials s, so m*g is congruent to the same
-combination of the s*g: the normal forms NF(s*g), for g a generator and s
-standard of the complementary degree, span the image of the generators'
-ideal in the quotient, and a form lies in I + <gens> iff its NF lies in
-their span.
+Division by G gives each form of degree at most the top its normal form NF,
+the one combination of standard monomials congruent to it modulo I, so NF
+is linear and NF(f) = 0 iff f lies in I.  It is fraction-free: a term u of
+coefficient b whose divisor g has lead a gives a'*f - b'*(u/LM g)*g, with
+a' = a/gcd(a, b) and b' = b/gcd(a, b), and the content is divided out at
+the end, so the remainder is NF(f) up to a positive rational factor.  The
+division loop, `GradedRing._reduce`, searches for the divisor of u itself,
+by the rule that fixes the build's remainders and so G element for element:
+the first element whose LM divides u met visiting the fields of u from the
+lowest up and, at each, the elements whose LM has its largest variable
+there in the order they joined G.  A degree slice, `DegreeSpan`, has the
+standard monomials as its columns, and its `Echelon` holds query rows only.
+Every monomial m is congruent to a combination of standard monomials s, so
+m*g is congruent to the same combination of the s*g: the normal forms
+NF(s*g), for g a generator and s standard of the complementary degree, span
+the image of the generators' ideal in the quotient, and a form lies in
+I + <gens> iff its NF lies in their span.
 
 An `Echelon`'s rows have the form of the elements of G: a remainder, made
 primitive with a positive lead and kept under its LM, which is standard.
@@ -146,15 +150,16 @@ def _monomial_counts(caps, top: int) -> list:
 def _live_layer(d: int, below: dict, steps) -> dict:
     """Every degree-d monomial q*x with x one of the packed variables
     `steps` (ascending) whose degree-(d-1) divisors all lie in `below`,
-    packed and ascending, each mapped to the tuple of those divisors.
+    packed and ascending, each mapped to the tuple of those divisors, made
+    only for a monomial so accepted.
 
     `below` is a layer of degree d-1 (None at d = 0).  A monomial is built
     once, as q*x_i with x_i its last variable; its divisors are q's times
-    x_i, and q itself when x_i is new.  For each x_i in turn, the q with no
-    variable after x_i are a prefix of `below`, and the products come out
-    ascending.  Above degree 1 the steps need only be the standard
-    variables: a multiple of any other variable has a divisor one degree
-    down that holds it, which is not standard.
+    x_i, and q itself, in `below`, when x_i is new.  For each x_i in turn,
+    the q with no variable after x_i are a prefix of `below`, and the
+    products come out ascending.  Above degree 1 the steps need only be the
+    standard variables: a multiple of any other variable has a divisor one
+    degree down that holds it, which is not standard.
     """
     if d == 0:
         return {0: ()}
@@ -162,14 +167,12 @@ def _live_layer(d: int, below: dict, steps) -> dict:
     out = {}
     for step in steps:
         bound = step << FIELD_BITS  # the first monomial with a variable after x_i
+        add = step.__add__
         for q, divisors in below.items():
             if q >= bound:
                 break
-            divisors = tuple(map(step.__add__, divisors))
-            if q < step:  # x_i is not in q
-                divisors += (q,)
-            if all(map(has, divisors)):
-                out[q + step] = divisors
+            if all(map(has, map(add, divisors))):
+                out[q + step] = (*map(add, divisors), q) if q < step else tuple(map(add, divisors))
     return out
 
 
@@ -190,14 +193,14 @@ class GradedRing:
         self.counts = _monomial_counts(p.table.caps(), p.top_degree)  # standard or not
         self._live = []  # standard monomials of each degree enumerated so far, ascending
         # the basis as (lead, a, tail): lead monomial, its coefficient a > 0
-        # and the other terms, descending; indexed for `_divisor` by the
-        # field of the lead's largest variable and, for the pairs, by the
-        # field of each variable the lead holds
+        # and the other terms, descending; indexed for the divisor search of
+        # `_reduce` by the field of the lead's largest variable and, for the
+        # pairs, by the field of each variable the lead holds
         self._elements = []
         self._contents = []  # of each element, see `_add`
         self._by_last = {}
         self._holding = {}
-        self._found = {}  # monomial -> the element `_divisor` gave it, see `_reduce`
+        self._found = {}  # monomial -> the divisor `_reduce` found for it
 
     def spans(self, degrees, monomial_cap: int = None):
         """Raise SizeCapError at the first of `degrees` with more monomials,
@@ -323,23 +326,6 @@ class GradedRing:
             terms[m] = terms.get(m, 0) - b_h * c
         return terms
 
-    def _divisor(self, u: int):
-        """An element whose leading monomial divides u, or None: the first
-        one found among the leads whose largest variable u holds, its
-        fields from the lowest up."""
-        w, guard = FIELD_BITS, self.presentation.table._guard
-        field = (1 << w) - 1
-        for g in self._by_last.get(-w, ()):  # a constant, which divides every monomial
-            return g
-        rest = u
-        while rest:
-            shift = ((rest & -rest).bit_length() - 1) // w * w
-            rest &= ~(field << shift)
-            for g in self._by_last.get(shift, ()):
-                if ((u | guard) - g[0]) & guard == guard:
-                    return g
-        return None
-
     def _reduce(self, f: dict, rows: dict = None) -> dict:
         """The remainder of packed terms f (monomial -> coefficient, all of
         one degree; taken over and changed) under division by the basis
@@ -351,25 +337,37 @@ class GradedRing:
         element; a row holds only standard monomials below its lead, so the
         heap still meets every monomial after those above it.
 
-        The divisor found for each monomial is kept in a memo.  Its "none"
-        answers can change only when a new leading monomial equals the
-        monomial: every monomial divided while the basis grows has the
-        degree being built, that of every new lead.  So the memo is
+        On a memo miss the loop searches for the divisor by the rule that
+        fixes the basis (see the module docstring), and keeps it in the
+        memo.  A "none" answer can change only when a new leading monomial
+        equals the monomial: every monomial divided while the basis grows
+        has the degree being built, that of every new lead.  So the memo is
         cleared when each degree of the build starts, as no later division
         of the build meets its entries; after the build, queries fill it
         again."""
-        found, divisor = self._found, self._divisor
+        found, by_last, guard = self._found, self._by_last, self.presentation.table._guard
+        w, field = FIELD_BITS, (1 << FIELD_BITS) - 1
+        constant = next(iter(by_last.get(-w, ())), None)  # divides every monomial
+        pop, push = heappop, heappush
         heap = [-m for m in f]
         heapify(heap)
         out = {}
         while heap:
-            u = -heappop(heap)
+            u = -pop(heap)
             b = f.pop(u)
             if not b:
                 continue
             g = found.get(u, False)
             if g is False:
-                g = found[u] = divisor(u)
+                g, rest, high = constant, u, u | guard
+                while g is None and rest:
+                    shift = ((rest & -rest).bit_length() - 1) // w * w
+                    rest &= ~(field << shift)
+                    for e in by_last.get(shift, ()):
+                        if (high - e[0]) & guard == guard:
+                            g = e
+                            break
+                found[u] = g
             if g is None and (not rows or (g := rows.get(u)) is None):
                 out[u] = b
                 continue
@@ -389,7 +387,7 @@ class GradedRing:
                 v = f.get(m)
                 if v is None:
                     f[m] = -b * c
-                    heappush(heap, -m)
+                    push(heap, -m)
                 else:
                     f[m] = v - b * c
         if out:
