@@ -347,7 +347,7 @@ class GradedRing:
         again."""
         found, by_last, guard = self._found, self._by_last, self.presentation.table._guard
         w, field = FIELD_BITS, (1 << FIELD_BITS) - 1
-        constant = next(iter(by_last.get(-w, ())), None)  # divides every monomial
+        constant = next(iter(by_last.get(-w, ())), None)  # a constant divides every monomial
         pop, push = heappop, heappush
         heap = [-m for m in f]
         heapify(heap)
